@@ -19,10 +19,8 @@ from .analysis import (
     verify_against_oracle,
     verify_tournament_invariants,
 )
-from .engine import MemoTable, f_two_block, f_value, memo_load, memo_save
+from .engine import MemoTable, f_recurrence, f_table, f_two_block, f_value
 from .errors import (
-    CacheFormatError,
-    CacheIoError,
     InvalidOrder,
     OrderTooLarge,
     ParseError,

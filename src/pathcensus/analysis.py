@@ -1,6 +1,6 @@
 """Counting in transitive tournaments, composition scans, and cross-checks.
 
-Ties the recurrence engine to actual path counts: a type's count in the
+Ties the path-function engine to actual path counts: a type's count in the
 transitive tournament is the path-function value of its block lengths,
 halved when the type is symmetric (a symmetric path is met once per
 enumeration direction).  On top of that sit a full scan of all compositions
@@ -11,10 +11,10 @@ permutation oracle.
 
 import json
 from dataclasses import dataclass, field
+from itertools import takewhile
 from math import factorial
-from multiprocessing import Pool
 
-from .engine import MemoTable, f_two_block, f_value
+from .engine import MemoTable, f_table, f_two_block, f_value
 from .errors import ScanTooLarge, TheoremViolation, TypeOrderMismatch
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
 from .types import (
@@ -123,48 +123,20 @@ class ScanReport:
         )
 
 
-def _scan_chunk(comps):
-    memo = MemoTable()
-    return [(c, f_value(c, memo)) for c in comps]
-
-
-def _scan_values(p: int, memo: MemoTable, jobs: int):
-    comps = list(compositions(p))
-    if jobs <= 1:
-        return [(c, f_value(c, memo)) for c in comps]
-    chunks = [comps[i::jobs] for i in range(jobs)]
-    pairs = []
-    with Pool(jobs) as pool:
-        for part in pool.map(_scan_chunk, chunks):
-            pairs.extend(part)
-    return pairs
-
-
-def scan(
-    p: int,
-    memo: MemoTable | None = None,
-    *,
-    limit: int | None = DEFAULT_SCAN_LIMIT,
-    jobs: int = 1,
-) -> ScanReport:
+def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
     """Evaluate the path-function on all ``2**(p-1)`` compositions of ``p``.
 
     ``limit`` guards against accidental huge scans; pass ``None`` (or a
-    bigger value) to override.  Parallel evaluation changes nothing in the
-    report: rows are fully sorted.
+    bigger value) to override.
     """
     if p < 2:
         raise ValueError(f"scan needs p >= 2, got {p}")
     if limit is not None and p > limit:
         raise ScanTooLarge(f"scan of p={p} exceeds the limit {limit}")
-    if memo is None:
-        memo = MemoTable()
-    pairs = _scan_values(p, memo, jobs)
-    rows = sorted(pairs, key=lambda r: (r[1], r[0]))
-    all_ones = (1,) * p
-    runner_up = max(
-        (r for r in rows if r[0] != all_ones), key=lambda r: (r[1], r[0])
-    )
+    rows = sorted(f_table(p), key=lambda r: (r[1], r[0]))
+    # rows ascend by (value, composition): the runner-up is the last row
+    # unless that one is the all-ones composition
+    runner_up = rows[-2] if rows[-1][0] == (1,) * p else rows[-1]
     return ScanReport(p=p, rows=rows, max_row=rows[-1], runner_up_row=runner_up)
 
 
@@ -230,7 +202,6 @@ def check_conjecture(
     memo: MemoTable | None = None,
     *,
     limit: int | None = DEFAULT_SCAN_LIMIT,
-    jobs: int = 1,
 ) -> ConjectureVerdict:
     """Scan ``p`` and judge the three maximality observations.
 
@@ -239,13 +210,18 @@ def check_conjecture(
     """
     if p < 3:
         raise ValueError(f"conjecture check needs p >= 3, got {p}")
-    report = scan(p, memo, limit=limit, jobs=jobs)
-    values = dict(report.rows)
+    report = scan(p, limit=limit)
     all_ones = (1,) * p
-    ones_value = values[all_ones]
-    others = {c: v for c, v in values.items() if c != all_ones}
-    runner_value = max(others.values())
-    attainers = sorted(c for c, v in others.items() if v == runner_value)
+    ones_value = f_value(all_ones, memo)
+    runner_value = report.runner_up_row[1]
+    # every row a flag can name sits in the top run of the value-sorted rows
+    floor = min(ones_value, runner_value)
+    top = [
+        (c, v)
+        for c, v in takewhile(lambda r: r[1] >= floor, reversed(report.rows))
+        if c != all_ones
+    ]
+    attainers = sorted(c for c, v in top if v == runner_value)
     pattern = runner_up_pattern(p)
     expected = sorted({pattern, pattern[::-1]})
 
@@ -255,7 +231,7 @@ def check_conjecture(
 
     witnesses: list[tuple[int, ...]] = []
     if not all_ones_is_max:
-        witnesses.extend(c for c, v in sorted(others.items()) if v >= ones_value)
+        witnesses.extend(sorted(c for c, v in top if v >= ones_value))
     if not runner_is_pattern:
         witnesses.extend(c for c in attainers if c not in expected)
     if not exceeds_half:
@@ -550,7 +526,7 @@ def verify_against_oracle(
     jobs: int = 1,
     census_limit: int | None = CENSUS_LIMIT,
 ) -> OracleDiffReport:
-    """Compare the recurrence route with the permutation census on every
+    """Compare the path-function route with the permutation census on every
     transitive tournament up to ``max_n``, key for key."""
     if max_n < 3:
         raise ValueError(f"verification needs max_n >= 3, got {max_n}")

@@ -1,14 +1,13 @@
 """Command-line front end.
 
 Subcommands: eval, census, scan, conjecture, verify, bench.  Primary results
-go to stdout (text, json, or csv); timings and cache statistics go to stderr
+go to stdout (text, json, or csv); timings and memo statistics go to stderr
 so stdout stays pipe-safe.  Exit codes: 0 clean, 1 mathematical finding
 (oracle discrepancy or observation violation), 2 usage error.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -21,7 +20,7 @@ from .analysis import (
     verify_against_oracle,
     verify_tournament_invariants,
 )
-from .engine import MemoTable, f_value, memo_load, memo_save
+from .engine import MemoTable, f_value
 from .errors import InvalidOrder, PathCensusError, ScanTooLarge
 from .oracle import CENSUS_LIMIT
 from .types import format_entries, is_symmetric, parse_composition, parse_signed_type
@@ -29,6 +28,13 @@ from .types import format_entries, is_symmetric, parse_composition, parse_signed
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -39,13 +45,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="output format for the primary stream (default: text)",
     )
     parser.add_argument(
-        "--cache-file",
-        default=os.environ.get("PATHCENSUS_CACHE"),
-        help="path-function memo persisted across runs "
-        "(default: $PATHCENSUS_CACHE if set)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default: 1)"
+        "--jobs",
+        type=positive_int,
+        default=1,
+        help="worker processes for the permutation census (default: 1)",
     )
     parser.add_argument(
         "--force",
@@ -107,23 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time a scan and report cache statistics")
+    p = sub.add_parser("bench", help="time a scan of all compositions of a total")
     p.add_argument("-p", type=int, default=14)
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 
     return parser
-
-
-def _load_memo(args) -> MemoTable:
-    if args.cache_file and os.path.exists(args.cache_file):
-        return memo_load(args.cache_file)
-    return MemoTable()
-
-
-def _finish_memo(args, memo: MemoTable) -> None:
-    if args.cache_file:
-        memo_save(memo, args.cache_file)
 
 
 def _diag(memo: MemoTable, elapsed: float) -> None:
@@ -138,7 +130,7 @@ def _diag(memo: MemoTable, elapsed: float) -> None:
 
 def cmd_eval(args) -> int:
     comp = parse_composition(args.tuple)
-    memo = _load_memo(args)
+    memo = MemoTable()
     start = time.perf_counter()
     value = f_value(comp, memo)
     elapsed = time.perf_counter() - start
@@ -158,7 +150,6 @@ def cmd_eval(args) -> int:
     else:
         print(value)
     _diag(memo, elapsed)
-    _finish_memo(args, memo)
     return EXIT_OK
 
 
@@ -166,7 +157,7 @@ def cmd_census(args) -> int:
     if args.n < 3:
         raise InvalidOrder(f"census needs n >= 3, got {args.n}")
     a = parse_signed_type(args.tuple)
-    memo = _load_memo(args)
+    memo = MemoTable()
     start = time.perf_counter()
     value = tt_count(args.n, a, memo)
     elapsed = time.perf_counter() - start
@@ -189,17 +180,16 @@ def cmd_census(args) -> int:
     else:
         print(f"{value} {sym}")
     _diag(memo, elapsed)
-    _finish_memo(args, memo)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     if args.p < 2:
         raise ScanTooLarge(f"scan needs p >= 2, got {args.p}")
-    memo = _load_memo(args)
+    memo = MemoTable()
     limit = None if args.force else DEFAULT_SCAN_LIMIT
     start = time.perf_counter()
-    report = scan(args.p, memo, limit=limit, jobs=args.jobs)
+    report = scan(args.p, limit=limit)
     elapsed = time.perf_counter() - start
     rows = report.rows
     if args.sort == "composition":
@@ -213,7 +203,6 @@ def cmd_scan(args) -> int:
         for c, v in rows:
             print(f"{format_entries(c)} => {v}")
     _diag(memo, elapsed)
-    _finish_memo(args, memo)
     return EXIT_OK
 
 
@@ -229,10 +218,10 @@ def cmd_conjecture(args) -> int:
             f"max-p {args.max_p} exceeds the limit {DEFAULT_SCAN_LIMIT} "
             "(pass --force to go further)"
         )
-    memo = _load_memo(args)
+    memo = MemoTable()
     start = time.perf_counter()
     verdicts = [
-        check_conjecture(p, memo, limit=None, jobs=args.jobs)
+        check_conjecture(p, memo, limit=None)
         for p in range(3, args.max_p + 1)
     ]
     elapsed = time.perf_counter() - start
@@ -267,7 +256,6 @@ def cmd_conjecture(args) -> int:
                 )
             print(line)
     _diag(memo, elapsed)
-    _finish_memo(args, memo)
     return EXIT_OK if all(v.ok for v in verdicts) else EXIT_FINDING
 
 
@@ -280,7 +268,7 @@ def cmd_verify(args) -> int:
             f"max-n {args.max_n} exceeds the census limit {CENSUS_LIMIT} "
             "(pass --force to go further)"
         )
-    memo = _load_memo(args)
+    memo = MemoTable()
     start = time.perf_counter()
     if args.kind == "transitive":
         report = verify_against_oracle(
@@ -311,26 +299,24 @@ def cmd_verify(args) -> int:
                 f"expected={d.expected} ({d.note})"
             )
     _diag(memo, elapsed)
-    _finish_memo(args, memo)
     return EXIT_OK if report.ok else EXIT_FINDING
 
 
 def cmd_bench(args) -> int:
     if args.p < 2:
         raise ScanTooLarge(f"bench needs p >= 2, got {args.p}")
-    memo = _load_memo(args)
+    memo = MemoTable()
     limit = None if args.force else DEFAULT_SCAN_LIMIT
     start = time.perf_counter()
-    report = scan(args.p, memo, limit=limit, jobs=args.jobs)
+    report = scan(args.p, limit=limit)
     elapsed = time.perf_counter() - start
     comp, value = report.max_row
     print(
         f"p={report.p} compositions={len(report.rows)} "
         f"max={format_entries(comp)}:{value}"
     )
-    print(f"scan took {elapsed:.3f}s with {args.jobs} job(s)", file=sys.stderr)
+    print(f"scan took {elapsed:.3f}s", file=sys.stderr)
     _diag(memo, elapsed)
-    _finish_memo(args, memo)
     return EXIT_OK
 
 

@@ -2,33 +2,39 @@
 
 The path-function maps a composition ``(a_1, ..., a_s)`` to the sum of its
 values over the ``s`` children obtained by decrementing one entry (with zero
-entries reduced away), and equals 1 on a single block.  Its values count
-oriented Hamiltonian paths per type in transitive tournaments and outgrow
-64-bit range quickly, so everything here is exact Python integers.
+entries reduced away), and equals 1 on a single block.  Its value is the
+number of permutations of ``1..p+1`` whose up/down signature has run lengths
+``a_1, ..., a_s``; those values count oriented Hamiltonian paths per type in
+transitive tournaments and outgrow 64-bit range quickly, so everything here
+is exact Python integers.
 
-Evaluation walks an explicit stack instead of recursing, so the composition
-total never threatens the interpreter stack, and results are memoized under
-the key ``min(c, reversed(c))``: the function is invariant under reversal,
-so one stored entry answers both orientations.
+:func:`f_value` counts those permutations with the rank DP of Niven and de
+Bruijn ("Permutations with given ups and downs"): one vector entry per rank
+of the last element placed, one prefix-sum pass per step, O(p^2) additions
+in total.  :func:`f_table` walks every up/down word of length ``p`` once,
+sharing the DP vector of each common prefix.  :func:`f_recurrence` evaluates
+the defining recurrence on an explicit stack; it is exponential and kept as
+the independent reference the tests compare the DP against.  Results are
+cached in memory only, under the key ``min(c, reversed(c))``: the function is
+invariant under reversal, so one stored entry answers both orientations.
 """
 
 from collections.abc import Iterator
+from itertools import accumulate
 from math import comb
-from pathlib import Path
 
-from .errors import CacheFormatError, CacheIoError, ParseError, UndefinedType
-from .types import derive_children, format_entries, parse_composition
+from .errors import UndefinedType
+from .types import derive_children
 
-__all__ = ["MemoTable", "f_value", "f_two_block", "memo_save", "memo_load"]
+__all__ = ["MemoTable", "f_value", "f_table", "f_recurrence", "f_two_block"]
 
 
 class MemoTable:
-    """Reversal-sharing memo for path-function values.
+    """Reversal-sharing cache of path-function results.
 
     ``hits``/``misses`` count lookups served from, respectively added to,
     the table; they are diagnostics only.  A table may be shared freely:
-    stores are idempotent (any writer inserts the same value for a key), so
-    concurrent evaluation returns the same results as a single thread.
+    stores are idempotent (any writer inserts the same value for a key).
     """
 
     __slots__ = ("entries", "hits", "misses")
@@ -63,11 +69,6 @@ class MemoTable:
     def __contains__(self, c: tuple[int, ...]) -> bool:
         return self.canonical(tuple(c)) in self.entries
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MemoTable):
-            return NotImplemented
-        return self.entries == other.entries
-
     def __repr__(self) -> str:
         return (
             f"MemoTable({len(self.entries)} entries, "
@@ -75,18 +76,78 @@ class MemoTable:
         )
 
 
-def f_value(c, memo: MemoTable | None = None) -> int:
-    """Exact path-function value of a composition.
-
-    Pass a shared ``memo`` to reuse work across calls.  The result does not
-    depend on evaluation order or on what the memo already contains.
-    """
+def _composition(c) -> tuple[int, ...]:
     comp = tuple(c)
     if not comp:
         raise UndefinedType("path-function of the empty tuple is undefined")
     for e in comp:
         if not isinstance(e, int) or e < 1:
             raise UndefinedType(f"not a composition: {comp}")
+    return comp
+
+
+def _rank_dp(comp: tuple[int, ...]) -> int:
+    # x[j] counts the prefixes whose last element has rank j among those
+    # placed so far, ranks read in the direction of the current block, so
+    # every step is the same prefix sum and a new block reverses x.  The
+    # first block is built in closed form, so it starts from the longer end.
+    if comp[-1] > comp[0]:
+        comp = comp[::-1]
+    x = [0] * comp[0] + [1]
+    for block in comp[1:]:
+        x.reverse()
+        for _ in range(block):
+            x = [0, *accumulate(x)]
+    return sum(x)
+
+
+def f_value(c, memo: MemoTable | None = None) -> int:
+    """Exact path-function value of a composition, by the rank DP.
+
+    Pass a shared ``memo`` to reuse results across calls.  The result does
+    not depend on evaluation order or on what the memo already contains.
+    """
+    comp = _composition(c)
+    if memo is None:
+        return _rank_dp(comp)
+    value = memo.lookup(comp)
+    if value is None:
+        value = _rank_dp(comp)
+        memo.store(comp, value)
+    return value
+
+
+def f_table(p: int) -> list[tuple[tuple[int, ...], int]]:
+    """``(composition, value)`` for all ``2**(p-1)`` compositions of ``p``.
+
+    A depth-first walk over the up/down words that start with an ascent:
+    each step either extends the last block or opens a new one, and both
+    children reuse the DP vector of their common prefix.  Row order is the
+    walk's, not sorted.
+    """
+    if p < 1:
+        raise ValueError(f"total must be positive, got {p}")
+    rows = []
+    stack = [((1,), [0, 1])]
+    while stack:
+        comp, x = stack.pop()
+        if len(x) > p:
+            rows.append((comp, sum(x)))
+            continue
+        stack.append((comp[:-1] + (comp[-1] + 1,), [0, *accumulate(x)]))
+        stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
+    return rows
+
+
+def f_recurrence(c, memo: MemoTable | None = None) -> int:
+    """Path-function value from the defining recurrence (reference route).
+
+    Walks an explicit stack instead of recursing, so the composition total
+    never threatens the interpreter stack, and stores every intermediate
+    composition in ``memo``.  Exponential in the total; the tests compare
+    :func:`f_value` and :func:`f_table` against it.
+    """
+    comp = _composition(c)
     if memo is None:
         memo = MemoTable()
 
@@ -122,62 +183,10 @@ def f_value(c, memo: MemoTable | None = None) -> int:
 def f_two_block(m: int, n: int) -> int:
     """Closed form for two-block values: ``C(m+n, m)``.
 
-    Computed independently of the recurrence (stdlib exact binomial) and
-    deliberately never used inside :func:`f_value`, so the identity
+    Computed independently of the DP and the recurrence (stdlib exact
+    binomial) and deliberately never used inside either, so the identity
     ``f_value((m, n)) == f_two_block(m, n)`` stays a genuine cross-check.
     """
     if m < 1 or n < 1:
         raise ValueError(f"block lengths must be positive, got ({m}, {n})")
     return comb(m + n, m)
-
-
-def memo_save(memo: MemoTable, destination) -> None:
-    """Write a memo table as UTF-8 text, one ``a1,...,as=VALUE`` line per
-    entry, sorted by key; ``#`` starts a comment line."""
-    path = Path(destination)
-    try:
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(f"# path-function memo table: {len(memo)} entries\n")
-            for key in sorted(memo.entries):
-                fh.write(f"{format_entries(key)}={memo.entries[key]}\n")
-    except OSError as exc:
-        raise CacheIoError(f"cannot write cache file {path}: {exc}") from exc
-
-
-def memo_load(source) -> MemoTable:
-    """Read a memo table written by :func:`memo_save`.
-
-    Keys are canonicalized on the way in, so a hand-edited file may list a
-    composition in either orientation.  Malformed lines raise
-    :class:`CacheFormatError` with their line number.
-    """
-    path = Path(source)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CacheIoError(f"cannot read cache file {path}: {exc}") from exc
-
-    table = MemoTable()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key_text, sep, value_text = line.partition("=")
-        if not sep:
-            raise CacheFormatError(f"line {lineno}: missing '='", lineno)
-        try:
-            key = parse_composition(key_text.strip())
-        except ParseError as exc:
-            raise CacheFormatError(f"line {lineno}: bad key: {exc}", lineno) from exc
-        try:
-            value = int(value_text.strip())
-        except ValueError:
-            raise CacheFormatError(
-                f"line {lineno}: bad value: {value_text.strip()!r}", lineno
-            ) from None
-        if value < 1:
-            raise CacheFormatError(
-                f"line {lineno}: value must be a positive count, got {value}", lineno
-            )
-        table.store(key, value)
-    return table

@@ -33,15 +33,3 @@ class TheoremViolation(PathCensusError):
     """An internal consistency guarantee broke (e.g. a symmetric type with an
     odd path-function value, or an odd raw tally before halving).  Signals an
     implementation bug, never bad user input."""
-
-
-class CacheIoError(PathCensusError):
-    """Cache file could not be read or written."""
-
-
-class CacheFormatError(PathCensusError):
-    """A cache file line failed to parse.  ``line_number`` is 1-based."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number

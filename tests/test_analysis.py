@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from pathcensus import analysis
 from pathcensus.analysis import (
     ConjectureVerdict,
     Discrepancy,
@@ -98,10 +99,6 @@ def test_scan_respects_limit():
         scan(1)
 
 
-def test_scan_parallel_matches_serial():
-    assert scan(8, jobs=2) == scan(8)
-
-
 # conjecture ----------------------------------------------------------------------
 
 def test_runner_up_pattern_shapes():
@@ -130,6 +127,49 @@ def test_conjecture_holds_to_p10():
     memo = MemoTable()
     for p in range(3, 11):
         assert check_conjecture(p, memo).ok, p
+
+
+ONES_5 = (1, 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "changes,flags,witnesses",
+    [
+        # all-ones beaten (the (1,2,1,1) pair) and tied ((3,2) at 61)
+        (
+            {(1, 1, 2, 1): 70, (1, 2, 1, 1): 70, (3, 2): 61},
+            (False, True, True),
+            [(1, 1, 2, 1), (1, 2, 1, 1), (3, 2)],
+        ),
+        # a third composition ties the runner-up pair
+        ({(2, 3): 40}, (True, False, True), [(2, 3)]),
+        # runner-up pair no longer above half the all-ones value
+        (
+            {(1, 1, 2, 1): 30, (1, 2, 1, 1): 30, (1, 1, 1, 2): 29, (2, 1, 1, 1): 29},
+            (True, True, False),
+            [(1, 1, 2, 1), (1, 2, 1, 1)],
+        ),
+        # one composition is witness of two flags and is listed once
+        ({(2, 3): 61, (3, 2): 75}, (False, False, True), [(2, 3), (3, 2)]),
+    ],
+    ids=["all_ones_beaten", "runner_up_tied", "runner_up_below_half", "shared_witness"],
+)
+def test_conjecture_witness_branches(monkeypatch, changes, flags, witnesses):
+    values = dict(scan(5).rows)
+    values.update(changes)
+    rows = sorted(values.items(), key=lambda r: (r[1], r[0]))
+    runner_up = max((r for r in rows if r[0] != ONES_5), key=lambda r: (r[1], r[0]))
+    fake = ScanReport(p=5, rows=rows, max_row=rows[-1], runner_up_row=runner_up)
+    monkeypatch.setattr(analysis, "scan", lambda *a, **k: fake)
+    v = check_conjecture(5)
+    assert values[ONES_5] == 61
+    assert (
+        v.all_ones_is_max,
+        v.runner_up_is_1_2_ones,
+        v.runner_up_exceeds_half_max,
+    ) == flags
+    assert v.witnesses == witnesses
+    assert not v.ok
 
 
 def test_conjecture_rejects_tiny_p():

@@ -1,12 +1,12 @@
-"""CLI surface: formats, exit codes, cache wiring, determinism."""
+"""CLI surface: formats, exit codes, determinism."""
 
 import json
+from math import comb
 
 import pytest
 
 from pathcensus import cli
 from pathcensus.analysis import ConjectureVerdict, ScanReport, report_from_json
-from pathcensus.engine import memo_load
 
 
 def run(capsys, *argv):
@@ -59,6 +59,8 @@ def test_eval_csv(capsys):
 def test_census_symmetric(capsys):
     code, out, _ = run(capsys, "census", "-n", "3", "1,-1")
     assert (code, out) == (0, "1 symmetric\n")
+    code, out, _ = run(capsys, "census", "-n", "401", "--", "200,-200")
+    assert (code, out) == (0, f"{comb(400, 200) // 2} symmetric\n")
 
 
 def test_census_non_symmetric(capsys):
@@ -246,43 +248,22 @@ def test_bench_reports_summary(capsys):
     assert "cache" in err
 
 
-# cache file -----------------------------------------------------------------------------
-
-def test_cache_file_persists_and_reloads(capsys, tmp_path):
-    cache = tmp_path / "memo.txt"
-    code, out, _ = run(capsys, "eval", "1,2,1", "--cache-file", str(cache))
-    assert (code, out) == (0, "11\n")
-    assert cache.exists()
-    table = memo_load(cache)
-    assert table.lookup((1, 2, 1)) == 11
-
-    code, out, err = run(capsys, "eval", "1,2,1", "--cache-file", str(cache))
-    assert (code, out) == (0, "11\n")
-    assert "hits=1" in err  # answered straight from the loaded table
-
-
-def test_cache_env_var_sets_default(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "env-memo.txt"
-    monkeypatch.setenv("PATHCENSUS_CACHE", str(cache))
-    code, out, _ = run(capsys, "eval", "1,1")
-    assert (code, out) == (0, "2\n")
-    assert cache.exists()
-
-
-def test_cache_flag_overrides_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PATHCENSUS_CACHE", str(tmp_path / "ignored.txt"))
-    explicit = tmp_path / "explicit.txt"
-    run(capsys, "eval", "1,1", "--cache-file", str(explicit))
-    assert explicit.exists()
-    assert not (tmp_path / "ignored.txt").exists()
-
-
 # parser ----------------------------------------------------------------------------------
 
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["scan", "-p", "8", "--jobs", jobs])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--jobs" in captured.err
 
 
 def test_console_entry_point_importable():

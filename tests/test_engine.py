@@ -1,4 +1,4 @@
-"""Recurrence engine: golden values, independent oracles, cache round trips."""
+"""Path-function engine: golden values, independent oracles, DP vs. recurrence."""
 
 import random
 from itertools import permutations
@@ -7,8 +7,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcensus.engine import MemoTable, f_two_block, f_value, memo_load, memo_save
-from pathcensus.errors import CacheFormatError, CacheIoError, UndefinedType
+from pathcensus.engine import MemoTable, f_recurrence, f_table, f_two_block, f_value
+from pathcensus.errors import UndefinedType
 from pathcensus.types import compositions, signed_lift
 
 comps = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
@@ -85,10 +85,22 @@ def test_matches_pattern_oracle_exhaustively_to_total_6():
             assert f_value(comp, memo) == pattern_count(comp), comp
 
 
+def test_dp_and_table_match_the_recurrence_to_total_14():
+    reference = MemoTable()
+    for total in range(1, 15):
+        table = dict(f_table(total))
+        assert len(table) == 2 ** (total - 1)
+        for comp in compositions(total):
+            want = f_recurrence(comp, reference)
+            assert f_value(comp) == want, comp
+            assert table[comp] == want, comp
+
+
 # structural properties ---------------------------------------------------------
 
 def test_single_blocks_count_one():
     assert all(f_value((m,)) == 1 for m in range(1, 11))
+    assert f_value((10**6,)) == 1
 
 
 @given(comps)
@@ -109,6 +121,8 @@ def test_two_block_identity_small_grid():
     for m in range(1, 9):
         for n in range(1, 9):
             assert f_value((m, n), memo) == f_two_block(m, n)
+    assert f_value((200, 200), memo) == f_two_block(200, 200)
+    assert f_value((1, 10**5), memo) == f_two_block(1, 10**5)
 
 
 def test_f_two_block_is_the_binomial():
@@ -127,9 +141,9 @@ def test_sum_over_compositions_is_half_factorial():
 
 
 def test_all_ones_match_alternating_permutation_counts():
-    zigzag = boustrophedon_counts(12)
+    zigzag = boustrophedon_counts(301)
     memo = MemoTable()
-    for p in range(1, 12):
+    for p in range(1, 301):
         assert f_value((1,) * p, memo) == zigzag[p + 1], p
 
 
@@ -145,6 +159,8 @@ def test_rejects_non_compositions():
     for bad in [(), (0,), (1, 0), (-1,), (1, -2)]:
         with pytest.raises(UndefinedType):
             f_value(bad)
+        with pytest.raises(UndefinedType):
+            f_recurrence(bad)
 
 
 # determinism ---------------------------------------------------------------------
@@ -186,7 +202,8 @@ def test_stored_values_satisfy_the_recurrence():
     from pathcensus.types import derive_children
 
     memo = MemoTable()
-    f_value((2, 3, 2), memo)
+    f_recurrence((2, 3, 2), memo)
+    assert len(memo) > 1
     for key, value in memo.items():
         if len(key) == 1:
             assert value == 1
@@ -194,69 +211,3 @@ def test_stored_values_satisfy_the_recurrence():
             assert value == sum(
                 memo.entries[MemoTable.canonical(ch)] for ch in derive_children(key)
             )
-
-
-# cache files --------------------------------------------------------------------------
-
-def test_cache_roundtrip(tmp_path):
-    memo = MemoTable()
-    f_value((1, 2, 1, 1), memo)
-    path = tmp_path / "cache.txt"
-    memo_save(memo, path)
-    loaded = memo_load(path)
-    assert loaded == memo
-
-    text = path.read_text()
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    keys = [tuple(int(e) for e in ln.split("=")[0].split(",")) for ln in lines]
-    assert keys == sorted(keys)
-    assert all("=" in ln for ln in lines)
-
-
-def test_cache_single_entry_roundtrip(tmp_path):
-    memo = MemoTable()
-    memo.store((1, 1), 2)
-    path = tmp_path / "one.txt"
-    memo_save(memo, path)
-    assert memo_load(path) == memo
-
-
-def test_cache_load_known_line(tmp_path):
-    path = tmp_path / "cache.txt"
-    path.write_text("# comment\n1,2,1=11\n")
-    loaded = memo_load(path)
-    assert loaded.lookup((1, 2, 1)) == 11
-
-
-def test_cache_load_canonicalizes_reversed_keys(tmp_path):
-    path = tmp_path / "cache.txt"
-    path.write_text("2,1,1=9\n")
-    assert memo_load(path).lookup((1, 1, 2)) == 9
-
-
-@pytest.mark.parametrize(
-    "line,lineno",
-    [("1,x=3", 1), ("1,1 2", 1), ("1,1=x", 1), ("0,1=5", 1), ("1,1=-2", 1), ("# ok\n1,=4", 2)],
-)
-def test_cache_load_rejects_malformed_lines(tmp_path, line, lineno):
-    path = tmp_path / "bad.txt"
-    path.write_text(line + "\n")
-    with pytest.raises(CacheFormatError) as err:
-        memo_load(path)
-    assert err.value.line_number == lineno
-
-
-def test_cache_missing_file_raises_io_error(tmp_path):
-    with pytest.raises(CacheIoError):
-        memo_load(tmp_path / "absent.txt")
-
-
-def test_preloaded_cache_does_not_change_results(tmp_path):
-    memo = MemoTable()
-    want = {c: f_value(c, memo) for c in compositions(8)}
-    path = tmp_path / "cache.txt"
-    memo_save(memo, path)
-
-    warm = memo_load(path)
-    assert {c: f_value(c, warm) for c in compositions(8)} == want
-    assert f_value((4, 4), warm) == want[(4, 4)]
