@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: eval, census, scan, conjecture, verify, bench.  Primary results
-go to stdout (text, json, or csv); timings and memo statistics go to stderr
-so stdout stays pipe-safe.  Exit codes: 0 clean, 1 mathematical finding
-(oracle discrepancy or observation violation), 2 usage error.
+go to stdout (text, json, or csv); one ``took <seconds>s`` line goes to
+stderr so stdout stays pipe-safe.  Exit codes: 0 clean, 1 mathematical
+finding (oracle discrepancy or observation violation), 2 usage error.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from .analysis import (
     verify_against_oracle,
     verify_tournament_invariants,
 )
-from .engine import MemoTable, f_value
+from .engine import f_value
 from .errors import InvalidOrder, PathCensusError, ScanTooLarge
 from .oracle import CENSUS_LIMIT
 from .types import format_entries, is_symmetric, parse_composition, parse_signed_type
@@ -28,6 +28,8 @@ from .types import format_entries, is_symmetric, parse_composition, parse_signed
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+
+FORMATS = ("text", "json", "csv")
 
 
 def positive_int(text: str) -> int:
@@ -40,7 +42,7 @@ def positive_int(text: str) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
-        choices=("text", "json", "csv"),
+        choices=FORMATS,
         default="text",
         help="output format for the primary stream (default: text)",
     )
@@ -118,99 +120,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diag(memo: MemoTable, elapsed: float) -> None:
-    probes = memo.hits + memo.misses
-    rate = 100.0 * memo.hits / probes if probes else 0.0
-    print(
-        f"took {elapsed:.3f}s; cache hits={memo.hits} misses={memo.misses} "
-        f"rate={rate:.1f}%",
-        file=sys.stderr,
-    )
+# Every cmd_* checks its arguments, computes its result and returns
+# (exit code, renderers): renderers maps each of FORMATS to a function that
+# yields the output lines, so only the requested format is ever rendered.
+# main() alone times the run, prints and reports.
 
 
-def cmd_eval(args) -> int:
+def _json(data) -> str:
+    return json.dumps(data, indent=2)
+
+
+def cmd_eval(args):
     comp = parse_composition(args.tuple)
-    memo = MemoTable()
-    start = time.perf_counter()
-    value = f_value(comp, memo)
-    elapsed = time.perf_counter() - start
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "report": "eval",
-                    "composition": format_entries(comp),
-                    "value": str(value),
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        print(f"{format_entries(comp)};{value}")
-    else:
-        print(value)
-    _diag(memo, elapsed)
-    return EXIT_OK
+    value = str(f_value(comp))
+    key = format_entries(comp)
+    data = {"report": "eval", "composition": key, "value": value}
+    return EXIT_OK, {
+        "text": lambda: [value],
+        "csv": lambda: [f"{key};{value}"],
+        "json": lambda: [_json(data)],
+    }
 
 
-def cmd_census(args) -> int:
+def cmd_census(args):
     if args.n < 3:
         raise InvalidOrder(f"census needs n >= 3, got {args.n}")
     a = parse_signed_type(args.tuple)
-    memo = MemoTable()
-    start = time.perf_counter()
-    value = tt_count(args.n, a, memo)
-    elapsed = time.perf_counter() - start
-    sym = "symmetric" if is_symmetric(a) else "non-symmetric"
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "report": "census",
-                    "n": args.n,
-                    "type": format_entries(a),
-                    "symmetric": is_symmetric(a),
-                    "value": str(value),
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "csv":
-        print(f"{format_entries(a)};{sym};{value}")
-    else:
-        print(f"{value} {sym}")
-    _diag(memo, elapsed)
-    return EXIT_OK
+    value = str(tt_count(args.n, a))
+    key = format_entries(a)
+    symmetric = is_symmetric(a)
+    sym = "symmetric" if symmetric else "non-symmetric"
+    data = {
+        "report": "census",
+        "n": args.n,
+        "type": key,
+        "symmetric": symmetric,
+        "value": value,
+    }
+    return EXIT_OK, {
+        "text": lambda: [f"{value} {sym}"],
+        "csv": lambda: [f"{key};{sym};{value}"],
+        "json": lambda: [_json(data)],
+    }
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args):
     if args.p < 2:
         raise ScanTooLarge(f"scan needs p >= 2, got {args.p}")
-    memo = MemoTable()
-    limit = None if args.force else DEFAULT_SCAN_LIMIT
-    start = time.perf_counter()
-    report = scan(args.p, limit=limit)
-    elapsed = time.perf_counter() - start
-    rows = report.rows
-    if args.sort == "composition":
-        rows = sorted(rows, key=lambda r: r[0])
-    if args.format == "json":
-        print(report_to_json(report))
-    elif args.format == "csv":
-        for c, v in rows:
-            print(f"{format_entries(c)};{v}")
-    else:
-        for c, v in rows:
-            print(f"{format_entries(c)} => {v}")
-    _diag(memo, elapsed)
-    return EXIT_OK
+    report = scan(args.p, limit=None if args.force else DEFAULT_SCAN_LIMIT)
+
+    def rows(sep):
+        ordered = report.rows
+        if args.sort == "composition":
+            ordered = sorted(ordered, key=lambda r: r[0])
+        return (f"{format_entries(c)}{sep}{v}" for c, v in ordered)
+
+    return EXIT_OK, {
+        "text": lambda: rows(" => "),
+        "csv": lambda: rows(";"),
+        "json": lambda: [report_to_json(report)],
+    }
 
 
 def _yn(flag: bool) -> str:
     return "yes" if flag else "NO"
 
 
-def cmd_conjecture(args) -> int:
+def _conjecture_text(v) -> str:
+    line = (
+        f"p={v.p} all_ones_max={_yn(v.all_ones_is_max)} "
+        f"runner_up_pattern={_yn(v.runner_up_is_1_2_ones)} "
+        f"runner_up_gt_half={_yn(v.runner_up_exceeds_half_max)}"
+    )
+    if v.witnesses:
+        line += " witnesses=" + "|".join(format_entries(c) for c in v.witnesses)
+    return line
+
+
+def cmd_conjecture(args):
     if args.max_p < 3:
         raise ScanTooLarge(f"conjecture check needs max-p >= 3, got {args.max_p}")
     if args.max_p > DEFAULT_SCAN_LIMIT and not args.force:
@@ -218,48 +205,31 @@ def cmd_conjecture(args) -> int:
             f"max-p {args.max_p} exceeds the limit {DEFAULT_SCAN_LIMIT} "
             "(pass --force to go further)"
         )
-    memo = MemoTable()
-    start = time.perf_counter()
     verdicts = [
-        check_conjecture(p, memo, limit=None)
-        for p in range(3, args.max_p + 1)
+        check_conjecture(p, limit=None) for p in range(3, args.max_p + 1)
     ]
-    elapsed = time.perf_counter() - start
-    if args.format == "json":
-        print(
-            json.dumps(
+    code = EXIT_OK if all(v.ok for v in verdicts) else EXIT_FINDING
+    return code, {
+        "text": lambda: map(_conjecture_text, verdicts),
+        "csv": lambda: (
+            f"{v.p};{str(v.all_ones_is_max).lower()};"
+            f"{str(v.runner_up_is_1_2_ones).lower()};"
+            f"{str(v.runner_up_exceeds_half_max).lower()}"
+            for v in verdicts
+        ),
+        "json": lambda: [
+            _json(
                 {
                     "report": "conjecture-run",
                     "max_p": args.max_p,
                     "verdicts": [v.to_json_dict() for v in verdicts],
-                },
-                indent=2,
+                }
             )
-        )
-    elif args.format == "csv":
-        for v in verdicts:
-            print(
-                f"{v.p};{str(v.all_ones_is_max).lower()};"
-                f"{str(v.runner_up_is_1_2_ones).lower()};"
-                f"{str(v.runner_up_exceeds_half_max).lower()}"
-            )
-    else:
-        for v in verdicts:
-            line = (
-                f"p={v.p} all_ones_max={_yn(v.all_ones_is_max)} "
-                f"runner_up_pattern={_yn(v.runner_up_is_1_2_ones)} "
-                f"runner_up_gt_half={_yn(v.runner_up_exceeds_half_max)}"
-            )
-            if v.witnesses:
-                line += " witnesses=" + "|".join(
-                    format_entries(c) for c in v.witnesses
-                )
-            print(line)
-    _diag(memo, elapsed)
-    return EXIT_OK if all(v.ok for v in verdicts) else EXIT_FINDING
+        ],
+    }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     if args.max_n < 3:
         raise InvalidOrder(f"verify needs max-n >= 3, got {args.max_n}")
     census_limit = None if args.force else CENSUS_LIMIT
@@ -268,11 +238,9 @@ def cmd_verify(args) -> int:
             f"max-n {args.max_n} exceeds the census limit {CENSUS_LIMIT} "
             "(pass --force to go further)"
         )
-    memo = MemoTable()
-    start = time.perf_counter()
     if args.kind == "transitive":
         report = verify_against_oracle(
-            args.max_n, memo, jobs=args.jobs, census_limit=census_limit
+            args.max_n, jobs=args.jobs, census_limit=census_limit
         )
     else:
         report = verify_tournament_invariants(
@@ -282,52 +250,48 @@ def cmd_verify(args) -> int:
             jobs=args.jobs,
             census_limit=census_limit,
         )
-    elapsed = time.perf_counter() - start
-    if args.format == "json":
-        print(report_to_json(report))
-    elif args.format == "csv":
-        for d in report.discrepancies:
-            print(f"{d.n};{d.type_key};{d.oracle};{d.expected};{d.note}")
-    else:
-        print(
-            f"kind={report.kind} n=3..{report.max_n} checks={report.checks} "
-            f"discrepancies={len(report.discrepancies)}"
-        )
-        for d in report.discrepancies:
-            print(
-                f"n={d.n} type={d.type_key} oracle={d.oracle} "
-                f"expected={d.expected} ({d.note})"
-            )
-    _diag(memo, elapsed)
-    return EXIT_OK if report.ok else EXIT_FINDING
+    found = report.discrepancies
+    header = (
+        f"kind={report.kind} n=3..{report.max_n} checks={report.checks} "
+        f"discrepancies={len(found)}"
+    )
+    return EXIT_OK if report.ok else EXIT_FINDING, {
+        "text": lambda: [header] + [
+            f"n={d.n} type={d.type_key} oracle={d.oracle} "
+            f"expected={d.expected} ({d.note})"
+            for d in found
+        ],
+        "csv": lambda: (
+            f"{d.n};{d.type_key};{d.oracle};{d.expected};{d.note}" for d in found
+        ),
+        "json": lambda: [report_to_json(report)],
+    }
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
     if args.p < 2:
         raise ScanTooLarge(f"bench needs p >= 2, got {args.p}")
-    memo = MemoTable()
-    limit = None if args.force else DEFAULT_SCAN_LIMIT
-    start = time.perf_counter()
-    report = scan(args.p, limit=limit)
-    elapsed = time.perf_counter() - start
+    report = scan(args.p, limit=None if args.force else DEFAULT_SCAN_LIMIT)
     comp, value = report.max_row
-    print(
+    line = (
         f"p={report.p} compositions={len(report.rows)} "
         f"max={format_entries(comp)}:{value}"
     )
-    print(f"scan took {elapsed:.3f}s", file=sys.stderr)
-    _diag(memo, elapsed)
-    return EXIT_OK
+    return EXIT_OK, dict.fromkeys(FORMATS, lambda: [line])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code, renderers = args.func(args)
     except PathCensusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for line in renderers[args.format]():
+        print(line)
+    print(f"took {time.perf_counter() - start:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

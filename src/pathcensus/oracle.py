@@ -13,7 +13,6 @@ routes to the same counts check each other.
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from multiprocessing import Pool
 
 from .errors import (
     InvalidOrder,
@@ -200,6 +199,8 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT, jobs: int = 1) ->
 
     firsts = list(range(1, n + 1))
     if jobs > 1:
+        from multiprocessing import Pool
+
         merged: dict[tuple[int, ...], int] = {}
         with Pool(min(jobs, n)) as pool:
             for part in pool.imap(_tally_worker, [(t, f) for f in firsts]):

@@ -1,12 +1,19 @@
 """CLI surface: formats, exit codes, determinism."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from pathcensus import cli
 from pathcensus.analysis import ConjectureVerdict, ScanReport, report_from_json
+
+TOOK = re.compile(r"took \d+\.\d{3}s\n")  # the one stderr line of a run
 
 
 def run(capsys, *argv):
@@ -245,7 +252,43 @@ def test_bench_reports_summary(capsys):
     code, out, err = run(capsys, "bench", "-p", "6")
     assert code == 0
     assert out.startswith("p=6 compositions=32 max=1,1,1,1,1,1:")
-    assert "cache" in err
+    assert TOOK.fullmatch(err)
+
+
+# diagnostics ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "1,2,1,1"],
+        ["census", "-n", "8", "3,-4"],
+        ["scan", "-p", "4", "--format", "csv"],
+        ["conjecture", "--max-p", "4", "--format", "json"],
+        ["verify", "--max-n", "5", "--kind", "nearly"],
+        ["bench", "-p", "6", "--format", "csv"],
+    ],
+)
+def test_one_timing_line_on_stderr_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert TOOK.fullmatch(err)
+    assert "cache" not in err and "hits=" not in err
+    assert "took" not in out
+
+
+def test_module_entry_point_in_a_real_process():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "pathcensus.cli", "scan", "-p", "3", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "3;1\n1,2;3\n2,1;3\n1,1,1;5\n"
+    assert TOOK.fullmatch(done.stderr)
 
 
 # parser ----------------------------------------------------------------------------------
