@@ -6,7 +6,7 @@ halved when the type is symmetric (a symmetric path is met once per
 enumeration direction).  On top of that sit a full scan of all compositions
 of a total with ranking, the observation checker for the all-ones maximum,
 exhaustive inequality suites, and a differential check against the
-permutation oracle.
+vertex-order census.
 """
 
 import json
@@ -523,10 +523,9 @@ def verify_against_oracle(
     max_n: int,
     memo: MemoTable | None = None,
     *,
-    jobs: int = 1,
     census_limit: int | None = CENSUS_LIMIT,
 ) -> OracleDiffReport:
-    """Compare the path-function route with the permutation census on every
+    """Compare the path-function route with the vertex-order census on every
     transitive tournament up to ``max_n``, key for key."""
     if max_n < 3:
         raise ValueError(f"verification needs max_n >= 3, got {max_n}")
@@ -535,7 +534,7 @@ def verify_against_oracle(
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):
-        cen = census(make_transitive(n), limit=census_limit, jobs=jobs)
+        cen = census(make_transitive(n), limit=census_limit)
         expected: dict[tuple[int, ...], int] = {}
         for comp in compositions(n - 1):
             for lead in (True, False):
@@ -564,7 +563,6 @@ def verify_tournament_invariants(
     max_n: int,
     seed: int = 0,
     *,
-    jobs: int = 1,
     census_limit: int | None = CENSUS_LIMIT,
 ) -> OracleDiffReport:
     """Self-checks for non-transitive tournaments.
@@ -582,8 +580,8 @@ def verify_tournament_invariants(
     discrepancies = []
     for n in range(3, max_n + 1):
         t = make_nearly_transitive(n) if kind == "nearly" else make_random(n, seed)
-        cen = census(t, limit=census_limit, jobs=jobs)
-        comp_cen = census(complement(t), limit=census_limit, jobs=jobs)
+        cen = census(t, limit=census_limit)
+        comp_cen = census(complement(t), limit=census_limit)
 
         checks += 1
         total = cen.total()

@@ -50,7 +50,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=positive_int,
         default=1,
-        help="worker processes for the permutation census (default: 1)",
+        help="accepted for compatibility (N >= 1); the census runs in one process",
     )
     parser.add_argument(
         "--force",
@@ -239,15 +239,12 @@ def cmd_verify(args):
             "(pass --force to go further)"
         )
     if args.kind == "transitive":
-        report = verify_against_oracle(
-            args.max_n, jobs=args.jobs, census_limit=census_limit
-        )
+        report = verify_against_oracle(args.max_n, census_limit=census_limit)
     else:
         report = verify_tournament_invariants(
             args.kind,
             args.max_n,
             args.seed,
-            jobs=args.jobs,
             census_limit=census_limit,
         )
     found = report.discrepancies
@@ -281,6 +278,9 @@ def cmd_bench(args):
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # exact counts can run to any number of digits
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:

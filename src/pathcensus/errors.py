@@ -18,7 +18,7 @@ class InvalidOrder(PathCensusError):
 
 
 class OrderTooLarge(PathCensusError):
-    """Brute-force census requested beyond the permutation limit."""
+    """Brute-force census requested beyond its order limit."""
 
 
 class TypeOrderMismatch(PathCensusError):

@@ -1,18 +1,19 @@
-"""Brute-force ground truth on small tournaments.
+"""Ground truth on small tournaments, by counting vertex orders.
 
-A tournament is a complete orientation of K_n on vertices 1..n.  The census
-enumerates every vertex permutation, reads off the block signature of the
-walk it traces, and tallies the results by canonical type key.  Each path is
-met exactly twice (once per enumeration direction) and both meetings land on
-the same canonical key, so raw tallies are halved after an evenness check.
+A tournament is a complete orientation of K_n on vertices 1..n.  Every
+vertex order traces a Hamiltonian oriented path, whose type is read off the
+up/down word of its arcs.  The census counts all n! orders word by word
+(orders that trace the same word are counted together, see :func:`_tally`)
+and tallies them by canonical type key.  Each path is met exactly twice
+(once per direction) and both meetings land on the same canonical key, so
+raw tallies are halved after an evenness check.
 
-Everything here is independent of the recurrence engine on purpose: the two
-routes to the same counts check each other.
+Everything here is independent of the path-function engine on purpose: the
+two routes to the same counts check each other.
 """
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
 
 from .errors import (
     InvalidOrder,
@@ -38,7 +39,8 @@ __all__ = [
     "tournament_from_text",
 ]
 
-# 10! = 3.6M permutations is where a pure-Python census stops being pleasant
+# order 10 (10! vertex orders over 2^9 words) takes a fraction of a second;
+# the work keeps growing exponentially past it, so larger orders need --force
 CENSUS_LIMIT = 10
 
 
@@ -149,47 +151,55 @@ class TypeCensus:
         return sum(self.counts.values())
 
 
-def _tally(t: Tournament, firsts) -> dict[tuple[int, ...], int]:
-    """Raw per-enumeration tallies over permutations starting in ``firsts``."""
+def _tally(t: Tournament) -> dict[tuple[int, ...], int]:
+    """Raw tallies of all n! vertex orders, keyed by canonical type.
+
+    A depth-first walk over up/down words.  Each word carries its frontier
+    ``{(visited mask, last vertex): number of vertex orders}``; one pass over
+    a frontier builds the frontiers of the word's ascent and descent
+    children, so all orders that trace the same word are counted together.
+    """
     n = t.n
-    wins = t.wins
+    # vertex v is bit 1 << (v - 1); beats[u] has the bits of the vertices u beats
+    beats = [0] + [
+        sum(1 << (v - 1) for v in range(1, n + 1) if row[v]) for row in t.wins[1:]
+    ]
+    everyone = (1 << n) - 1
     counts: dict[tuple[int, ...], int] = {}
-    canon_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rest = list(range(1, n + 1))
-    for first in firsts:
-        others = [v for v in rest if v != first]
-        for perm in permutations(others):
-            entries = []
-            run = 0
-            u = first
-            for v in perm:
-                step = 1 if wins[u][v] else -1
-                if run == 0 or (run > 0) == (step > 0):
-                    run += step
-                else:
-                    entries.append(run)
-                    run = step
-                u = v
-            entries.append(run)
-            raw = tuple(entries)
-            key = canon_cache.get(raw)
-            if key is None:
-                key = canon_cache[raw] = canonical_key(raw)
-            counts[key] = counts.get(key, 0) + 1
+
+    def walk(frontier, entries, run, depth):
+        if depth == n - 1:
+            key = canonical_key(entries + (run,))
+            counts[key] = counts.get(key, 0) + sum(frontier.values())
+            return
+        up: dict[tuple[int, int], int] = {}
+        down: dict[tuple[int, int], int] = {}
+        for (mask, last), orders in frontier.items():
+            wins = beats[last]
+            rest = everyone & ~mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                child = up if wins & bit else down
+                state = (mask | bit, bit.bit_length())
+                child[state] = child.get(state, 0) + orders
+        for child, step in ((up, 1), (down, -1)):
+            if not child:
+                continue
+            if run == 0 or (run > 0) == (step > 0):
+                walk(child, entries, run + step, depth + 1)
+            else:
+                walk(child, entries + (run,), step, depth + 1)
+
+    walk({(1 << (v - 1), v): 1 for v in range(1, n + 1)}, (), 0, 0)
     return counts
 
 
-def _tally_worker(args) -> dict[tuple[int, ...], int]:
-    t, first = args
-    return _tally(t, [first])
-
-
-def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT, jobs: int = 1) -> TypeCensus:
+def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
     """Count every Hamiltonian oriented path of ``t``, grouped by type.
 
-    Enumerates all n! vertex orders (split over ``jobs`` workers by first
-    vertex; the merged result is identical to a single-threaded run), then
-    halves each tally.  The total equals n!/2.
+    Tallies all n! vertex orders in one process by a walk over up/down words
+    (see :func:`_tally`), then halves each tally.  The total equals n!/2.
     """
     n = t.n
     if n < 3:
@@ -197,21 +207,8 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT, jobs: int = 1) ->
     if limit is not None and n > limit:
         raise OrderTooLarge(f"census of order {n} exceeds the limit {limit}")
 
-    firsts = list(range(1, n + 1))
-    if jobs > 1:
-        from multiprocessing import Pool
-
-        merged: dict[tuple[int, ...], int] = {}
-        with Pool(min(jobs, n)) as pool:
-            for part in pool.imap(_tally_worker, [(t, f) for f in firsts]):
-                for key, value in part.items():
-                    merged[key] = merged.get(key, 0) + value
-        raw = merged
-    else:
-        raw = _tally(t, firsts)
-
     counts = {}
-    for key, value in raw.items():
+    for key, value in _tally(t).items():
         if value % 2:
             raise TheoremViolation(
                 f"odd tally {value} for type {key} before halving"

@@ -12,6 +12,7 @@ import pytest
 
 from pathcensus import cli
 from pathcensus.analysis import ConjectureVerdict, ScanReport, report_from_json
+from pathcensus.engine import f_value
 
 TOOK = re.compile(r"took \d+\.\d{3}s\n")  # the one stderr line of a run
 
@@ -96,6 +97,14 @@ def test_census_json(capsys):
 def test_census_negative_leading_type_via_separator(capsys):
     code, out, _ = run(capsys, "census", "-n", "3", "--", "-1,1")
     assert (code, out) == (0, "1 symmetric\n")
+
+
+def test_values_past_the_int_to_str_digit_limit(capsys):
+    # Python's default int -> str limit is 4300 digits
+    code, out, _ = run(capsys, "eval", ",".join(["1"] * 1700))
+    assert code == 0
+    assert len(out.strip()) > 4300
+    assert int(out) == f_value((1,) * 1700)
 
 
 # scan -----------------------------------------------------------------------

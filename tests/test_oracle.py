@@ -1,8 +1,10 @@
-"""Brute-force census: builders, tallies, invariants, text format."""
+"""Vertex-order census: builders, tallies, invariants, text format."""
 
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pathcensus.errors import (
     InvalidOrder,
@@ -23,6 +25,15 @@ from pathcensus.oracle import (
     tournament_to_text,
 )
 from pathcensus.types import canonical_key, signed_lift
+
+
+@st.composite
+def tournaments(draw, min_n=3, max_n=7):
+    """Any orientation of K_n, one drawn flag per pair."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_tournament(n, [(j, i) if f else (i, j) for (i, j), f in zip(pairs, flips)])
 
 
 # builders -------------------------------------------------------------------
@@ -99,11 +110,9 @@ def test_census_of_tt3_exactly():
     }
 
 
-def test_census_total_is_half_factorial():
-    assert census(make_transitive(4)).total() == 12
-    for n in (4, 5, 6):
-        t = make_random(n, seed=n)
-        assert census(t).total() == factorial(n) // 2
+@given(tournaments())
+def test_census_total_is_half_factorial(t):
+    assert census(t).total() == factorial(t.n) // 2
 
 
 def test_census_tt5_symmetric_two_block():
@@ -118,9 +127,29 @@ def test_census_rejects_small_and_huge_orders():
         census(make_transitive(11))
 
 
-def test_census_parallel_matches_serial():
-    t = make_random(6, seed=42)
-    assert census(t, jobs=2) == census(t)
+def enumerated_counts(t):
+    """Per-type path counts from every vertex permutation, one at a time."""
+    raw = {}
+    for order in permutations(range(1, t.n + 1)):
+        entries = []
+        for u, v in zip(order, order[1:]):
+            step = 1 if t.beats(u, v) else -1
+            if entries and (entries[-1] > 0) == (step > 0):
+                entries[-1] += step
+            else:
+                entries.append(step)
+        key = canonical_key(entries)
+        raw[key] = raw.get(key, 0) + 1
+    assert all(value % 2 == 0 for value in raw.values())
+    return {key: value // 2 for key, value in raw.items()}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_census_matches_plain_enumeration(n):
+    family = [make_transitive(n), make_nearly_transitive(n)]
+    family += [make_random(n, seed) for seed in (0, 1, 7)]
+    for t in family + [complement(t) for t in family]:
+        assert census(t).counts == enumerated_counts(t)
 
 
 # count_type -------------------------------------------------------------------
@@ -153,10 +182,9 @@ def test_count_type_zero_for_absent_type():
 
 # cross-tournament invariants -----------------------------------------------------
 
-def test_complement_invariance_on_random_instances():
-    for seed in range(4):
-        t = make_random(6, seed)
-        assert census(t).counts == census(complement(t)).counts
+@given(tournaments())
+def test_complement_invariance_on_random_instances(t):
+    assert census(t).counts == census(complement(t)).counts
 
 
 def test_complement_invariance_and_partition_at_n8():
@@ -190,8 +218,8 @@ def test_every_accumulated_count_was_even():
 
 # text format ------------------------------------------------------------------------
 
-def test_text_roundtrip():
-    t = make_random(5, seed=9)
+@given(tournaments(min_n=2, max_n=9))
+def test_text_roundtrip(t):
     assert tournament_from_text(tournament_to_text(t)) == t
 
 
