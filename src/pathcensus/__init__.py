@@ -10,6 +10,7 @@ from .analysis import (
     PropertySuiteReport,
     ScanReport,
     check_conjecture,
+    check_conjectures,
     report_from_json,
     report_to_json,
     run_property_suite,
@@ -19,7 +20,7 @@ from .analysis import (
     verify_against_oracle,
     verify_tournament_invariants,
 )
-from .engine import MemoTable, f_recurrence, f_table, f_two_block, f_value
+from .engine import MemoTable, f_recurrence, f_table, f_two_block, f_value, f_walk
 from .errors import (
     InvalidOrder,
     OrderTooLarge,

@@ -11,10 +11,9 @@ vertex-order census.
 
 import json
 from dataclasses import dataclass, field
-from itertools import takewhile
 from math import factorial
 
-from .engine import MemoTable, f_table, f_two_block, f_value
+from .engine import MemoTable, f_table, f_two_block, f_value, f_walk
 from .errors import ScanTooLarge, TheoremViolation, TypeOrderMismatch
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
 from .types import (
@@ -34,6 +33,7 @@ __all__ = [
     "scan",
     "ConjectureVerdict",
     "check_conjecture",
+    "check_conjectures",
     "FamilyResult",
     "PropertySuiteReport",
     "run_property_suite",
@@ -203,25 +203,56 @@ def check_conjecture(
     *,
     limit: int | None = DEFAULT_SCAN_LIMIT,
 ) -> ConjectureVerdict:
-    """Scan ``p`` and judge the three maximality observations.
+    """Judge the three maximality observations at one total ``p``.
 
-    Violations are findings, not errors: the verdict carries them as
-    witnesses and ``ok`` turns false.
+    The verdict for ``p`` from :func:`check_conjectures`, which values every
+    smaller total on the way.
     """
-    if p < 3:
-        raise ValueError(f"conjecture check needs p >= 3, got {p}")
-    report = scan(p, limit=limit)
-    all_ones = (1,) * p
-    ones_value = f_value(all_ones, memo)
-    runner_value = report.runner_up_row[1]
-    # every row a flag can name sits in the top run of the value-sorted rows
-    floor = min(ones_value, runner_value)
-    top = [
-        (c, v)
-        for c, v in takewhile(lambda r: r[1] >= floor, reversed(report.rows))
-        if c != all_ones
+    return check_conjectures(p, memo, limit=limit)[-1]
+
+
+def check_conjectures(
+    max_p: int,
+    memo: MemoTable | None = None,
+    *,
+    limit: int | None = DEFAULT_SCAN_LIMIT,
+) -> list[ConjectureVerdict]:
+    """Judge the three maximality observations at every total ``3..max_p``.
+
+    One pass over :func:`f_walk` values each composition of each total once.
+    Per total it keeps the best value off the all-ones composition with its
+    attainers, and the compositions that reach the all-ones value; nothing
+    is sorted but those.  The all-ones values come from :func:`f_value`, a
+    second route.  Violations are findings, not errors: a verdict carries
+    them as witnesses and its ``ok`` turns false.
+    """
+    if max_p < 3:
+        raise ValueError(f"conjecture check needs p >= 3, got {max_p}")
+    if limit is not None and max_p > limit:
+        raise ScanTooLarge(f"scan of p={max_p} exceeds the limit {limit}")
+    totals = range(3, max_p + 1)
+    ones = [0] * 3 + [f_value((1,) * p, memo) for p in totals]
+    runner = [0] * (max_p + 1)
+    attainers: list[list[tuple[int, ...]]] = [[] for _ in range(max_p + 1)]
+    beating: list[list[tuple[int, ...]]] = [[] for _ in range(max_p + 1)]
+    for comp, value in f_walk(max_p, start=3):
+        p = sum(comp)
+        if (value < runner[p] and value < ones[p]) or len(comp) == p:
+            continue  # below every flag's interest, or all-ones itself
+        if value >= ones[p]:
+            beating[p].append(comp)
+        if value > runner[p]:
+            runner[p] = value
+            attainers[p] = [comp]
+        elif value == runner[p]:
+            attainers[p].append(comp)
+    return [
+        _verdict(p, ones[p], runner[p], sorted(attainers[p]), sorted(beating[p]))
+        for p in totals
     ]
-    attainers = sorted(c for c, v in top if v == runner_value)
+
+
+def _verdict(p, ones_value, runner_value, attainers, beating) -> ConjectureVerdict:
     pattern = runner_up_pattern(p)
     expected = sorted({pattern, pattern[::-1]})
 
@@ -231,7 +262,7 @@ def check_conjecture(
 
     witnesses: list[tuple[int, ...]] = []
     if not all_ones_is_max:
-        witnesses.extend(sorted(c for c, v in top if v >= ones_value))
+        witnesses.extend(beating)
     if not runner_is_pattern:
         witnesses.extend(c for c in attainers if c not in expected)
     if not exceeds_half:

@@ -13,7 +13,7 @@ import time
 
 from .analysis import (
     DEFAULT_SCAN_LIMIT,
-    check_conjecture,
+    check_conjectures,
     report_to_json,
     scan,
     tt_count,
@@ -205,9 +205,7 @@ def cmd_conjecture(args):
             f"max-p {args.max_p} exceeds the limit {DEFAULT_SCAN_LIMIT} "
             "(pass --force to go further)"
         )
-    verdicts = [
-        check_conjecture(p, limit=None) for p in range(3, args.max_p + 1)
-    ]
+    verdicts = check_conjectures(args.max_p, limit=None)
     code = EXIT_OK if all(v.ok for v in verdicts) else EXIT_FINDING
     return code, {
         "text": lambda: map(_conjecture_text, verdicts),

@@ -11,8 +11,13 @@ is exact Python integers.
 :func:`f_value` counts those permutations with the rank DP of Niven and de
 Bruijn ("Permutations with given ups and downs"): one vector entry per rank
 of the last element placed, one prefix-sum pass per step, O(p^2) additions
-in total.  :func:`f_table` walks every up/down word of length ``p`` once,
-sharing the DP vector of each common prefix.  :func:`f_recurrence` evaluates
+at most.  The two end blocks cost no passes: the first is built in closed
+form, and the last is summed in one go by the hockey-stick identity, so a
+two-block type costs a single binomial.  :func:`f_walk` walks every up/down
+word of length at most ``p`` once, sharing the DP vector of each common
+prefix: a word of length k is a composition of k+1, so one walk values every
+composition of every total up to ``p``.  :func:`f_table` keeps the walk's
+compositions of ``p`` itself.  :func:`f_recurrence` evaluates
 the defining recurrence on an explicit stack; it is exponential and kept as
 the independent reference the tests compare the DP against.  Results are
 cached in memory only, under the key ``min(c, reversed(c))``: the function is
@@ -26,7 +31,7 @@ from math import comb
 from .errors import UndefinedType
 from .types import derive_children
 
-__all__ = ["MemoTable", "f_value", "f_table", "f_recurrence", "f_two_block"]
+__all__ = ["MemoTable", "f_value", "f_walk", "f_table", "f_recurrence", "f_two_block"]
 
 
 class MemoTable:
@@ -91,14 +96,19 @@ def _rank_dp(comp: tuple[int, ...]) -> int:
     # placed so far, ranks read in the direction of the current block, so
     # every step is the same prefix sum and a new block reverses x.  The
     # first block is built in closed form, so it starts from the longer end.
+    if len(comp) == 1:
+        return 1
     if comp[-1] > comp[0]:
         comp = comp[::-1]
     x = [0] * comp[0] + [1]
-    for block in comp[1:]:
+    for block in comp[1:-1]:
         x.reverse()
         for _ in range(block):
             x = [0, *accumulate(x)]
-    return sum(x)
+    # b more steps, then the sum: by the hockey-stick identity x[j] is
+    # counted C(j + b, b) times (j read before the last block's reversal)
+    b = comp[-1]
+    return sum(v * comb(j + b, b) for j, v in enumerate(x) if v)
 
 
 def f_value(c, memo: MemoTable | None = None) -> int:
@@ -117,26 +127,32 @@ def f_value(c, memo: MemoTable | None = None) -> int:
     return value
 
 
-def f_table(p: int) -> list[tuple[tuple[int, ...], int]]:
-    """``(composition, value)`` for all ``2**(p-1)`` compositions of ``p``.
+def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(composition, value)`` for every composition of a total in
+    ``start..p``, each exactly once: ``2**p - 1`` of them by default.
 
     A depth-first walk over the up/down words that start with an ascent:
     each step either extends the last block or opens a new one, and both
-    children reuse the DP vector of their common prefix.  Row order is the
-    walk's, not sorted.
+    children reuse the DP vector of their parent.  A composition comes
+    before its extensions; the order is otherwise the walk's, not sorted.
+    Live state is the stack of at most ``p`` pending DP vectors.
     """
     if p < 1:
         raise ValueError(f"total must be positive, got {p}")
-    rows = []
     stack = [((1,), [0, 1])]
     while stack:
         comp, x = stack.pop()
-        if len(x) > p:
-            rows.append((comp, sum(x)))
-            continue
-        stack.append((comp[:-1] + (comp[-1] + 1,), [0, *accumulate(x)]))
-        stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
-    return rows
+        if len(x) > start:
+            yield comp, sum(x)
+        if len(x) <= p:
+            stack.append((comp[:-1] + (comp[-1] + 1,), [0, *accumulate(x)]))
+            stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
+
+
+def f_table(p: int) -> list[tuple[tuple[int, ...], int]]:
+    """``(composition, value)`` for all ``2**(p-1)`` compositions of ``p``,
+    in :func:`f_walk` order."""
+    return list(f_walk(p, start=p))
 
 
 def f_recurrence(c, memo: MemoTable | None = None) -> int:
@@ -183,9 +199,10 @@ def f_recurrence(c, memo: MemoTable | None = None) -> int:
 def f_two_block(m: int, n: int) -> int:
     """Closed form for two-block values: ``C(m+n, m)``.
 
-    Computed independently of the DP and the recurrence (stdlib exact
-    binomial) and deliberately never used inside either, so the identity
-    ``f_value((m, n)) == f_two_block(m, n)`` stays a genuine cross-check.
+    The recurrence never uses it, so ``f_recurrence((m, n)) ==
+    f_two_block(m, n)`` is a genuine cross-check.  The DP sums its last
+    block with the same binomials, so against :func:`f_value` the identity
+    only exercises that closed form.
     """
     if m < 1 or n < 1:
         raise ValueError(f"block lengths must be positive, got ({m}, {n})")

@@ -1,5 +1,6 @@
 """Transitive counts, scans, observation checks, suites, and reports."""
 
+from itertools import takewhile
 from math import factorial
 
 import pytest
@@ -12,6 +13,7 @@ from pathcensus.analysis import (
     PropertySuiteReport,
     ScanReport,
     check_conjecture,
+    check_conjectures,
     report_from_json,
     report_to_json,
     run_property_suite,
@@ -21,7 +23,7 @@ from pathcensus.analysis import (
     verify_against_oracle,
     verify_tournament_invariants,
 )
-from pathcensus.engine import MemoTable
+from pathcensus.engine import MemoTable, f_value, f_walk
 from pathcensus.errors import ScanTooLarge, TypeOrderMismatch
 from pathcensus.types import canonical_key, compositions, negate, signed_lift
 
@@ -123,6 +125,31 @@ def test_conjecture_p4_values():
     assert v.ok and 2 * 11 > 16
 
 
+def sorted_rows_verdict(p):
+    # the verdict read off the value-sorted rows of a full scan
+    rows, ones = scan(p).rows, (1,) * p
+    ones_value = f_value(ones)
+    runner_value = max(v for c, v in rows if c != ones)
+    floor = min(ones_value, runner_value)
+    top = [(c, v) for c, v in takewhile(lambda r: r[1] >= floor, reversed(rows)) if c != ones]
+    attainers = sorted(c for c, v in top if v == runner_value)
+    pattern = runner_up_pattern(p)
+    expected = sorted({pattern, pattern[::-1]})
+    flags = (ones_value > runner_value, attainers == expected, 2 * runner_value > ones_value)
+    witnesses = sorted(c for c, v in top if v >= ones_value) if not flags[0] else []
+    witnesses += [c for c in attainers if c not in expected] if not flags[1] else []
+    witnesses += attainers if not flags[2] else []
+    return ConjectureVerdict(p, *flags, list(dict.fromkeys(witnesses)))
+
+
+def test_one_walk_matches_the_sorted_rows_to_p14():
+    verdicts = check_conjectures(14)
+    assert [v.p for v in verdicts] == list(range(3, 15))
+    for v in verdicts:
+        assert v == sorted_rows_verdict(v.p), v.p
+    assert check_conjecture(14) == verdicts[-1]
+
+
 def test_conjecture_holds_to_p10():
     memo = MemoTable()
     for p in range(3, 11):
@@ -155,13 +182,20 @@ ONES_5 = (1, 1, 1, 1, 1)
     ids=["all_ones_beaten", "runner_up_tied", "runner_up_below_half", "shared_witness"],
 )
 def test_conjecture_witness_branches(monkeypatch, changes, flags, witnesses):
-    values = dict(scan(5).rows)
+    values = dict(f_walk(5))
     values.update(changes)
-    rows = sorted(values.items(), key=lambda r: (r[1], r[0]))
-    runner_up = max((r for r in rows if r[0] != ONES_5), key=lambda r: (r[1], r[0]))
-    fake = ScanReport(p=5, rows=rows, max_row=rows[-1], runner_up_row=runner_up)
-    monkeypatch.setattr(analysis, "scan", lambda *a, **k: fake)
+    # served in reverse walk order: the verdict must not lean on the order
+    monkeypatch.setattr(
+        analysis,
+        "f_walk",
+        lambda p, start=1: ((c, v) for c, v in reversed(values.items()) if sum(c) >= start),
+    )
+    # the sorted-rows reference scans the same changed values
+    monkeypatch.setattr(
+        analysis, "f_table", lambda p: [(c, v) for c, v in values.items() if sum(c) == p]
+    )
     v = check_conjecture(5)
+    assert v == sorted_rows_verdict(5)
     assert values[ONES_5] == 61
     assert (
         v.all_ones_is_max,

@@ -198,7 +198,7 @@ def test_conjecture_violation_exits_one(capsys, monkeypatch):
         runner_up_exceeds_half_max=True,
         witnesses=[(3,)],
     )
-    monkeypatch.setattr(cli, "check_conjecture", lambda *a, **k: fake)
+    monkeypatch.setattr(cli, "check_conjectures", lambda *a, **k: [fake])
     code, out, _ = run(capsys, "conjecture", "--max-p", "3")
     assert code == 1
     assert "witnesses=3" in out

@@ -7,7 +7,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcensus.engine import MemoTable, f_recurrence, f_table, f_two_block, f_value
+from pathcensus.engine import MemoTable, f_recurrence, f_table, f_two_block, f_value, f_walk
 from pathcensus.errors import UndefinedType
 from pathcensus.types import compositions, signed_lift
 
@@ -96,6 +96,17 @@ def test_dp_and_table_match_the_recurrence_to_total_14():
             assert table[comp] == want, comp
 
 
+def test_walk_values_every_composition_of_every_total_once():
+    for p in range(1, 13):
+        rows = list(f_walk(p))
+        comps = [c for c, _ in rows]
+        assert len(comps) == len(set(comps)) == 2**p - 1, p
+        assert sorted(comps) == sorted(c for t in range(1, p + 1) for c in compositions(t))
+        assert all(v == f_value(c) for c, v in rows), p
+        assert f_table(p) == [(c, v) for c, v in rows if sum(c) == p]
+        assert list(f_walk(p, start=3)) == [(c, v) for c, v in rows if sum(c) >= 3]
+
+
 # structural properties ---------------------------------------------------------
 
 def test_single_blocks_count_one():
@@ -123,6 +134,13 @@ def test_two_block_identity_small_grid():
             assert f_value((m, n), memo) == f_two_block(m, n)
     assert f_value((200, 200), memo) == f_two_block(200, 200)
     assert f_value((1, 10**5), memo) == f_two_block(1, 10**5)
+
+
+def test_two_block_values_in_closed_form():
+    # the DP sums the last block by the hockey-stick identity; without it
+    # (8000, 8000) costs 64 million additions of numbers up to 4815 digits
+    assert f_value((8000, 8000)) == comb(16000, 8000)
+    assert f_value((1, 3000)) == 3001
 
 
 def test_f_two_block_is_the_binomial():
