@@ -24,6 +24,7 @@ from .engine import MemoTable, f_recurrence, f_table, f_two_block, f_value, f_wa
 from .errors import (
     InvalidOrder,
     OrderTooLarge,
+    OutOfRange,
     ParseError,
     PathCensusError,
     ScanTooLarge,

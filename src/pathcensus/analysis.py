@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import factorial
 
 from .engine import MemoTable, f_table, f_two_block, f_value, f_walk
-from .errors import ScanTooLarge, TheoremViolation, TypeOrderMismatch
+from .errors import OrderTooLarge, OutOfRange, ScanTooLarge, TheoremViolation, TypeOrderMismatch
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
 from .types import (
     canonical_key,
@@ -130,7 +130,7 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
     bigger value) to override.
     """
     if p < 2:
-        raise ValueError(f"scan needs p >= 2, got {p}")
+        raise OutOfRange(f"scan needs p >= 2, got {p}")
     if limit is not None and p > limit:
         raise ScanTooLarge(f"scan of p={p} exceeds the limit {limit}")
     rows = sorted(f_table(p), key=lambda r: (r[1], r[0]))
@@ -227,7 +227,7 @@ def check_conjectures(
     them as witnesses and its ``ok`` turns false.
     """
     if max_p < 3:
-        raise ValueError(f"conjecture check needs p >= 3, got {max_p}")
+        raise OutOfRange(f"conjecture check needs p >= 3, got {max_p}")
     if limit is not None and max_p > limit:
         raise ScanTooLarge(f"scan of p={max_p} exceeds the limit {limit}")
     totals = range(3, max_p + 1)
@@ -550,6 +550,14 @@ class OracleDiffReport:
         )
 
 
+def _check_orders(max_n: int, census_limit: int | None) -> None:
+    # refuse before the first census, not after the orders below the limit
+    if max_n < 3:
+        raise OutOfRange(f"verification needs max_n >= 3, got {max_n}")
+    if census_limit is not None and max_n > census_limit:
+        raise OrderTooLarge(f"census of order {max_n} exceeds the limit {census_limit}")
+
+
 def verify_against_oracle(
     max_n: int,
     memo: MemoTable | None = None,
@@ -558,8 +566,7 @@ def verify_against_oracle(
 ) -> OracleDiffReport:
     """Compare the path-function route with the vertex-order census on every
     transitive tournament up to ``max_n``, key for key."""
-    if max_n < 3:
-        raise ValueError(f"verification needs max_n >= 3, got {max_n}")
+    _check_orders(max_n, census_limit)
     if memo is None:
         memo = MemoTable()
     checks = 0
@@ -605,8 +612,7 @@ def verify_tournament_invariants(
     """
     if kind not in ("nearly", "random"):
         raise ValueError(f"unknown tournament kind: {kind!r}")
-    if max_n < 3:
-        raise ValueError(f"verification needs max_n >= 3, got {max_n}")
+    _check_orders(max_n, census_limit)
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):

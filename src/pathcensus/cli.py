@@ -3,7 +3,9 @@
 Subcommands: eval, census, scan, conjecture, verify, bench.  Primary results
 go to stdout (text, json, or csv); one ``took <seconds>s`` line goes to
 stderr so stdout stays pipe-safe.  Exit codes: 0 clean, 1 mathematical
-finding (oracle discrepancy or observation violation), 2 usage error.
+finding (oracle discrepancy or observation violation), 2 usage error.  The
+library decides what is a usage error: each ``PathCensusError`` becomes one
+``error:`` line and exit 2.  ``--force`` lifts the library's size limits.
 """
 
 import argparse
@@ -21,8 +23,7 @@ from .analysis import (
     verify_tournament_invariants,
 )
 from .engine import f_value
-from .errors import InvalidOrder, PathCensusError, ScanTooLarge
-from .oracle import CENSUS_LIMIT
+from .errors import InvalidOrder, OrderTooLarge, PathCensusError, ScanTooLarge
 from .types import format_entries, is_symmetric, parse_composition, parse_signed_type
 
 EXIT_OK = 0
@@ -120,14 +121,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every cmd_* checks its arguments, computes its result and returns
-# (exit code, renderers): renderers maps each of FORMATS to a function that
-# yields the output lines, so only the requested format is ever rendered.
-# main() alone times the run, prints and reports.
+# Every cmd_* computes its result and returns (exit code, renderers):
+# renderers maps each of FORMATS to a function that yields the output lines,
+# so only the requested format is ever rendered.  main() alone times the
+# run, prints and reports.
 
 
 def _json(data) -> str:
     return json.dumps(data, indent=2)
+
+
+def _limit(args, name: str = "limit") -> dict:
+    """Keyword arguments that lift the library's size limit under --force."""
+    return {name: None} if args.force else {}
 
 
 def cmd_eval(args):
@@ -165,9 +171,7 @@ def cmd_census(args):
 
 
 def cmd_scan(args):
-    if args.p < 2:
-        raise ScanTooLarge(f"scan needs p >= 2, got {args.p}")
-    report = scan(args.p, limit=None if args.force else DEFAULT_SCAN_LIMIT)
+    report = scan(args.p, **_limit(args))
 
     def rows(sep):
         ordered = report.rows
@@ -198,14 +202,7 @@ def _conjecture_text(v) -> str:
 
 
 def cmd_conjecture(args):
-    if args.max_p < 3:
-        raise ScanTooLarge(f"conjecture check needs max-p >= 3, got {args.max_p}")
-    if args.max_p > DEFAULT_SCAN_LIMIT and not args.force:
-        raise ScanTooLarge(
-            f"max-p {args.max_p} exceeds the limit {DEFAULT_SCAN_LIMIT} "
-            "(pass --force to go further)"
-        )
-    verdicts = check_conjectures(args.max_p, limit=None)
+    verdicts = check_conjectures(args.max_p, **_limit(args))
     code = EXIT_OK if all(v.ok for v in verdicts) else EXIT_FINDING
     return code, {
         "text": lambda: map(_conjecture_text, verdicts),
@@ -228,23 +225,11 @@ def cmd_conjecture(args):
 
 
 def cmd_verify(args):
-    if args.max_n < 3:
-        raise InvalidOrder(f"verify needs max-n >= 3, got {args.max_n}")
-    census_limit = None if args.force else CENSUS_LIMIT
-    if args.max_n > CENSUS_LIMIT and not args.force:
-        raise InvalidOrder(
-            f"max-n {args.max_n} exceeds the census limit {CENSUS_LIMIT} "
-            "(pass --force to go further)"
-        )
+    limit = _limit(args, "census_limit")
     if args.kind == "transitive":
-        report = verify_against_oracle(args.max_n, census_limit=census_limit)
+        report = verify_against_oracle(args.max_n, **limit)
     else:
-        report = verify_tournament_invariants(
-            args.kind,
-            args.max_n,
-            args.seed,
-            census_limit=census_limit,
-        )
+        report = verify_tournament_invariants(args.kind, args.max_n, args.seed, **limit)
     found = report.discrepancies
     header = (
         f"kind={report.kind} n=3..{report.max_n} checks={report.checks} "
@@ -264,9 +249,7 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    if args.p < 2:
-        raise ScanTooLarge(f"bench needs p >= 2, got {args.p}")
-    report = scan(args.p, limit=None if args.force else DEFAULT_SCAN_LIMIT)
+    report = scan(args.p, **_limit(args))
     comp, value = report.max_row
     line = (
         f"p={report.p} compositions={len(report.rows)} "
@@ -284,6 +267,8 @@ def main(argv=None) -> int:
     try:
         code, renderers = args.func(args)
     except PathCensusError as exc:
+        if isinstance(exc, (ScanTooLarge, OrderTooLarge)):
+            exc = f"{exc} (pass --force to go further)"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for line in renderers[args.format]():

@@ -11,12 +11,12 @@ is exact Python integers.
 :func:`f_value` counts those permutations with the rank DP of Niven and de
 Bruijn ("Permutations with given ups and downs"): one vector entry per rank
 of the last element placed, one prefix-sum pass per step, O(p^2) additions
-at most.  The two end blocks cost no passes: the first is built in closed
-form, and the last is summed in one go by the hockey-stick identity, so a
-two-block type costs a single binomial.  :func:`f_walk` walks every up/down
-word of length at most ``p`` once, sharing the DP vector of each common
-prefix: a word of length k is a composition of k+1, so one walk values every
-composition of every total up to ``p``.  :func:`f_table` keeps the walk's
+at most.  A two-block type is a single binomial.  Otherwise the two end
+blocks cost no passes: the first is built in closed form, and the last is
+summed in one go by the hockey-stick identity.  :func:`f_walk` walks every
+up/down word of length at most ``p`` once, sharing the DP vector of each
+common prefix: a word of length k is a composition of k+1, so one walk values
+every composition of every total up to ``p``.  :func:`f_table` keeps the walk's
 compositions of ``p`` itself.  :func:`f_recurrence` evaluates
 the defining recurrence on an explicit stack; it is exponential and kept as
 the independent reference the tests compare the DP against.  Results are
@@ -94,10 +94,11 @@ def _composition(c) -> tuple[int, ...]:
 def _rank_dp(comp: tuple[int, ...]) -> int:
     # x[j] counts the prefixes whose last element has rank j among those
     # placed so far, ranks read in the direction of the current block, so
-    # every step is the same prefix sum and a new block reverses x.  The
+    # every step is the same prefix sum and a new block reverses x.  One or
+    # two blocks are a binomial, with no vector of a block's length; else the
     # first block is built in closed form, so it starts from the longer end.
-    if len(comp) == 1:
-        return 1
+    if len(comp) <= 2:
+        return comb(sum(comp), comp[0])
     if comp[-1] > comp[0]:
         comp = comp[::-1]
     x = [0] * comp[0] + [1]
@@ -200,9 +201,9 @@ def f_two_block(m: int, n: int) -> int:
     """Closed form for two-block values: ``C(m+n, m)``.
 
     The recurrence never uses it, so ``f_recurrence((m, n)) ==
-    f_two_block(m, n)`` is a genuine cross-check.  The DP sums its last
-    block with the same binomials, so against :func:`f_value` the identity
-    only exercises that closed form.
+    f_two_block(m, n)`` is a genuine cross-check.  :func:`f_value` returns
+    this same binomial for two blocks, so against it the identity checks
+    nothing.
     """
     if m < 1 or n < 1:
         raise ValueError(f"block lengths must be positive, got ({m}, {n})")

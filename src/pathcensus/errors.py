@@ -13,6 +13,11 @@ class ParseError(PathCensusError):
     """Malformed textual input (type tuples, tournament files)."""
 
 
+class OutOfRange(PathCensusError, ValueError):
+    """A size below the least one its question is defined for (a scan total
+    under 2, say); also a ``ValueError``, so callers catching that still work."""
+
+
 class InvalidOrder(PathCensusError):
     """Tournament order outside a constructor's legal range."""
 

@@ -24,7 +24,7 @@ from pathcensus.analysis import (
     verify_tournament_invariants,
 )
 from pathcensus.engine import MemoTable, f_value, f_walk
-from pathcensus.errors import ScanTooLarge, TypeOrderMismatch
+from pathcensus.errors import OrderTooLarge, OutOfRange, ScanTooLarge, TypeOrderMismatch
 from pathcensus.types import canonical_key, compositions, negate, signed_lift
 
 
@@ -263,6 +263,25 @@ def test_verify_tournament_invariants_random():
     report = verify_tournament_invariants("random", 6, seed=5)
     assert report.ok
     assert report.seed == 5
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: verify_against_oracle(11), OrderTooLarge),
+        (lambda: verify_tournament_invariants("nearly", 11), OrderTooLarge),
+        (lambda: verify_against_oracle(2), OutOfRange),
+        (lambda: verify_tournament_invariants("random", 2), OutOfRange),
+    ],
+    ids=["oracle-11", "nearly-11", "oracle-2", "random-2"],
+)
+def test_verify_refuses_before_any_census(monkeypatch, call, error):
+    calls = []
+    real = analysis.census
+    monkeypatch.setattr(analysis, "census", lambda t, **k: calls.append(t) or real(t, **k))
+    with pytest.raises(error):
+        call()
+    assert calls == []
 
 
 def test_verify_rejects_unknown_kind():

@@ -1,5 +1,7 @@
 """CLI surface: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathcensus import cli
 from pathcensus.analysis import ConjectureVerdict, ScanReport, report_from_json
@@ -105,6 +108,14 @@ def test_values_past_the_int_to_str_digit_limit(capsys):
     assert code == 0
     assert len(out.strip()) > 4300
     assert int(out) == f_value((1,) * 1700)
+
+
+def test_two_block_types_past_the_index_range(capsys):
+    big = 10**20
+    code, out, _ = run(capsys, "eval", f"{big},1")
+    assert (code, out) == (0, f"{big + 1}\n")
+    code, out, _ = run(capsys, "census", "-n", str(big + 2), "--", f"1,-{big}")
+    assert (code, out) == (0, f"{big + 1} non-symmetric\n")
 
 
 # scan -----------------------------------------------------------------------
@@ -264,6 +275,80 @@ def test_bench_reports_summary(capsys):
     assert TOOK.fullmatch(err)
 
 
+# usage errors -----------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "-p", "19"],
+        ["bench", "-p", "19"],
+        ["conjecture", "--max-p", "19"],
+        ["verify", "--max-n", "11"],
+    ],
+    ids=["scan", "bench", "conjecture", "verify"],
+)
+def test_every_too_large_error_hints_at_force(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: [^\n]* \(pass --force to go further\)\n", err)
+
+
+SIZE_FLAGS = {
+    "census": "-n",
+    "scan": "-p",
+    "bench": "-p",
+    "conjecture": "--max-p",
+    "verify": "--max-n",
+}
+tuple_texts = st.one_of(
+    st.lists(st.integers(-4, 12), min_size=1, max_size=5).map(
+        lambda xs: ",".join(map(str, xs))
+    ),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["eval", *SIZE_FLAGS, None]))
+    if command is None:
+        command = draw(st.text(max_size=6))  # a junk subcommand
+    force = draw(st.booleans())
+    # a forced census past order 9 runs for seconds; unforced, 11 and 12 refuse
+    size = draw(st.integers(-3, 9 if command == "verify" and force else 12))
+    argv = [command]
+    if command in SIZE_FLAGS:
+        argv += [SIZE_FLAGS[command], str(size)]
+    if command == "verify" and draw(st.booleans()):
+        argv += ["--kind", draw(st.sampled_from(["transitive", "nearly", "random", "x"]))]
+        argv += ["--seed", str(draw(st.integers()))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "csv", "json", "xml"]))]
+    if command == "scan" or not draw(st.integers(0, 7)):
+        argv += ["--sort", draw(st.sampled_from(["value", "composition", "size"]))]
+    if draw(st.booleans()):
+        argv += ["--jobs", str(draw(st.integers(-1, 2)))]
+    if force:
+        argv.append("--force")
+    if (command == "census" or command not in SIZE_FLAGS) and draw(st.integers(0, 5)):
+        argv += ["--"] * draw(st.booleans()) + [draw(tuple_texts)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_any_argument_list_ends_in_an_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    if code == 2:
+        assert out.getvalue() == ""
+
+
 # diagnostics ----------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -298,6 +383,15 @@ def test_module_entry_point_in_a_real_process():
     assert done.returncode == 0
     assert done.stdout == "3;1\n1,2;3\n2,1;3\n1,1,1;5\n"
     assert TOOK.fullmatch(done.stderr)
+    refused = subprocess.run(
+        [sys.executable, "-m", "pathcensus.cli", "scan", "-p", "19"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert "Traceback" not in refused.stderr
 
 
 # parser ----------------------------------------------------------------------------------

@@ -141,6 +141,8 @@ def test_two_block_values_in_closed_form():
     # (8000, 8000) costs 64 million additions of numbers up to 4815 digits
     assert f_value((8000, 8000)) == comb(16000, 8000)
     assert f_value((1, 3000)) == 3001
+    # a first block past the index range builds no vector of its length
+    assert f_value((10**20, 1)) == f_value((1, 10**20)) == 10**20 + 1
 
 
 def test_f_two_block_is_the_binomial():
