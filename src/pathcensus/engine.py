@@ -11,9 +11,9 @@ is exact Python integers.
 :func:`f_value` counts those permutations with the rank DP of Niven and de
 Bruijn ("Permutations with given ups and downs"): one vector entry per rank
 of the last element placed, one prefix-sum pass per step, O(p^2) additions
-at most.  A two-block type is a single binomial.  Otherwise the two end
-blocks cost no passes: the first is built in closed form, and the last is
-summed in one go by the hockey-stick identity.  :func:`f_walk` walks every
+at most.  The two end blocks cost no passes: the shorter is built in closed
+form, and the longer is summed in one go by the hockey-stick identity, so a
+two-block type is that sum's one binomial term.  :func:`f_walk` walks every
 up/down word of length at most ``p`` once, sharing the DP vector of each
 common prefix: a word of length k is a composition of k+1, so one walk values
 every composition of every total up to ``p``.  :func:`f_table` keeps the walk's
@@ -37,48 +37,25 @@ __all__ = ["MemoTable", "f_value", "f_walk", "f_table", "f_recurrence", "f_two_b
 class MemoTable:
     """Reversal-sharing cache of path-function results.
 
-    ``hits``/``misses`` count lookups served from, respectively added to,
-    the table; they are diagnostics only.  A table may be shared freely:
-    stores are idempotent (any writer inserts the same value for a key).
+    ``entries`` maps ``canonical(c)`` to the value of ``c``.  A table may be
+    shared freely: any writer inserts the same value for a key.
     """
 
-    __slots__ = ("entries", "hits", "misses")
+    __slots__ = ("entries",)
 
     def __init__(self) -> None:
         self.entries: dict[tuple[int, ...], int] = {}
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def canonical(c: tuple[int, ...]) -> tuple[int, ...]:
         r = c[::-1]
         return c if c <= r else r
 
-    def lookup(self, c: tuple[int, ...]) -> int | None:
-        value = self.entries.get(self.canonical(tuple(c)))
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def store(self, c: tuple[int, ...], value: int) -> None:
-        self.entries[self.canonical(tuple(c))] = value
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self.entries.items())
-
     def __len__(self) -> int:
         return len(self.entries)
 
     def __contains__(self, c: tuple[int, ...]) -> bool:
         return self.canonical(tuple(c)) in self.entries
-
-    def __repr__(self) -> str:
-        return (
-            f"MemoTable({len(self.entries)} entries, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
 
 
 def _composition(c) -> tuple[int, ...]:
@@ -94,12 +71,13 @@ def _composition(c) -> tuple[int, ...]:
 def _rank_dp(comp: tuple[int, ...]) -> int:
     # x[j] counts the prefixes whose last element has rank j among those
     # placed so far, ranks read in the direction of the current block, so
-    # every step is the same prefix sum and a new block reverses x.  One or
-    # two blocks are a binomial, with no vector of a block's length; else the
-    # first block is built in closed form, so it starts from the longer end.
-    if len(comp) <= 2:
-        return comb(sum(comp), comp[0])
-    if comp[-1] > comp[0]:
+    # every step is the same prefix sum and a new block reverses x.  The
+    # first block is built in closed form, a vector of its length, and the
+    # last is summed with no vector; so the DP starts from the shorter end,
+    # and two blocks are the sum's one term C(m + n, n).
+    if len(comp) == 1:
+        return 1
+    if comp[-1] < comp[0]:
         comp = comp[::-1]
     x = [0] * comp[0] + [1]
     for block in comp[1:-1]:
@@ -121,10 +99,10 @@ def f_value(c, memo: MemoTable | None = None) -> int:
     comp = _composition(c)
     if memo is None:
         return _rank_dp(comp)
-    value = memo.lookup(comp)
+    key = memo.canonical(comp)
+    value = memo.entries.get(key)
     if value is None:
-        value = _rank_dp(comp)
-        memo.store(comp, value)
+        value = memo.entries[key] = _rank_dp(comp)
     return value
 
 
@@ -170,18 +148,15 @@ def f_recurrence(c, memo: MemoTable | None = None) -> int:
 
     entries = memo.entries
     canonical = MemoTable.canonical
-    hits = misses = 0
     stack = [comp]
     while stack:
         cur = stack[-1]
         key = canonical(cur)
         if key in entries:
-            hits += 1
             stack.pop()
             continue
         if len(cur) == 1:
             entries[key] = 1
-            misses += 1
             stack.pop()
             continue
         children = derive_children(cur)
@@ -190,10 +165,7 @@ def f_recurrence(c, memo: MemoTable | None = None) -> int:
             stack.extend(todo)
         else:
             entries[key] = sum(entries[canonical(ch)] for ch in children)
-            misses += 1
             stack.pop()
-    memo.hits += hits
-    memo.misses += misses
     return entries[canonical(comp)]
 
 
@@ -201,9 +173,9 @@ def f_two_block(m: int, n: int) -> int:
     """Closed form for two-block values: ``C(m+n, m)``.
 
     The recurrence never uses it, so ``f_recurrence((m, n)) ==
-    f_two_block(m, n)`` is a genuine cross-check.  :func:`f_value` returns
-    this same binomial for two blocks, so against it the identity checks
-    nothing.
+    f_two_block(m, n)`` is a genuine cross-check.  For two blocks the rank
+    DP's hockey-stick sum has this same binomial as its one term, so
+    against :func:`f_value` the identity checks nothing.
     """
     if m < 1 or n < 1:
         raise ValueError(f"block lengths must be positive, got ({m}, {n})")

@@ -116,6 +116,12 @@ def test_two_block_types_past_the_index_range(capsys):
     assert (code, out) == (0, f"{big + 1}\n")
     code, out, _ = run(capsys, "census", "-n", str(big + 2), "--", f"1,-{big}")
     assert (code, out) == (0, f"{big + 1} non-symmetric\n")
+    # three blocks: the short end is built and the long end summed
+    value = "5000000000000000000250000000000000000002"
+    code, out, _ = run(capsys, "eval", f"{big},1,1")
+    assert (code, out) == (0, f"{value}\n")
+    code, out, _ = run(capsys, "census", "-n", str(big + 3), "--", f"1,-1,{big}")
+    assert (code, out) == (0, f"{value} non-symmetric\n")
 
 
 # scan -----------------------------------------------------------------------

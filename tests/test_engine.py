@@ -136,13 +136,38 @@ def test_two_block_identity_small_grid():
     assert f_value((1, 10**5), memo) == f_two_block(1, 10**5)
 
 
-def test_two_block_values_in_closed_form():
+def test_end_block_values_in_closed_form():
     # the DP sums the last block by the hockey-stick identity; without it
     # (8000, 8000) costs 64 million additions of numbers up to 4815 digits
     assert f_value((8000, 8000)) == comb(16000, 8000)
     assert f_value((1, 3000)) == 3001
-    # a first block past the index range builds no vector of its length
+    # an end block past the index range builds no vector of its length
     assert f_value((10**20, 1)) == f_value((1, 10**20)) == 10**20 + 1
+
+    # Independent of the DP: choose the two values outside the long run.
+    # The last two go in ascending, which fails only when they are the top two.
+    def closed_form(a):
+        return comb(a + 3, 2) - 1
+
+    memo = MemoTable()
+    for a in range(1, 12):
+        assert f_recurrence((a, 1, 1), memo) == f_recurrence((1, 1, a), memo) == closed_form(a)
+    for a in (10**7, 10**20):
+        assert f_value((a, 1, 1)) == f_value((1, 1, a)) == closed_form(a)
+
+
+def test_interior_run_values_in_closed_form():
+    # Independent of the DP: choose the two end values around the long run.
+    # They fail when the first is above the run or the last below it: 2a + 5
+    # of the (a + 3)(a + 2) choices.
+    def closed_form(a):
+        return (a + 1) * (a + 2) - 1
+
+    memo = MemoTable()
+    for a in range(1, 12):
+        assert f_recurrence((1, a, 1), memo) == closed_form(a)
+    for a in [*range(1, 200), 500, 1000, 2000]:
+        assert f_value((1, a, 1)) == closed_form(a)
 
 
 def test_f_two_block_is_the_binomial():
@@ -207,15 +232,8 @@ def test_memo_shares_reversed_keys():
     memo = MemoTable()
     f_value((1, 2), memo)
     assert (2, 1) in memo
-    hits_before = memo.hits
-    assert memo.lookup((2, 1)) == 3
-    assert memo.hits == hits_before + 1
-
-
-def test_memo_miss_counter():
-    memo = MemoTable()
-    assert memo.lookup((5, 5)) is None
-    assert memo.misses == 1
+    assert f_value((2, 1), memo) == 3
+    assert len(memo) == 1
 
 
 def test_stored_values_satisfy_the_recurrence():
@@ -224,7 +242,7 @@ def test_stored_values_satisfy_the_recurrence():
     memo = MemoTable()
     f_recurrence((2, 3, 2), memo)
     assert len(memo) > 1
-    for key, value in memo.items():
+    for key, value in memo.entries.items():
         if len(key) == 1:
             assert value == 1
         else:
