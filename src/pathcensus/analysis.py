@@ -11,9 +11,10 @@ vertex-order census.
 
 import json
 from dataclasses import dataclass, field
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial
 
-from .engine import MemoTable, f_table, f_two_block, f_value, f_walk
+from .engine import MemoTable, f_table, f_two_block, f_value
 from .errors import OrderTooLarge, OutOfRange, ScanTooLarge, TheoremViolation, TypeOrderMismatch
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
 from .types import (
@@ -205,8 +206,8 @@ def check_conjecture(
 ) -> ConjectureVerdict:
     """Judge the three maximality observations at one total ``p``.
 
-    The verdict for ``p`` from :func:`check_conjectures`, which values every
-    smaller total on the way.
+    The verdict for ``p`` from :func:`check_conjectures`, which judges every
+    smaller total on the way; the pruning keeps that to milliseconds.
     """
     return check_conjectures(p, memo, limit=limit)[-1]
 
@@ -219,37 +220,55 @@ def check_conjectures(
 ) -> list[ConjectureVerdict]:
     """Judge the three maximality observations at every total ``3..max_p``.
 
-    One pass over :func:`f_walk` values each composition of each total once.
-    Per total it keeps the best value off the all-ones composition with its
-    attainers, and the compositions that reach the all-ones value; nothing
-    is sorted but those.  The all-ones values come from :func:`f_value`, a
-    second route.  Violations are findings, not errors: a verdict carries
-    them as witnesses and its ``ok`` turns false.
+    A verdict reads only the values >= T_p = min(F(1,2,1,...,1), F(1,...,1)),
+    so each total is one walk that drops every subtree unable to reach T_p:
+    the completions of a word w of total k sum to C(p+1, k+1)·F(w)·F(u) over
+    the junction letter, so none exceeds C(p+1, k+1)·F(w)·M[p-k-1], with M[m]
+    the largest value at total m.  Totals are judged in increasing order and
+    M[m] is read off total m's verdict, exact because its runner-up is at
+    least F(pattern) >= T_m; so the bound rests on nothing but this run.
+
+    The all-ones values come from :func:`f_value`, a second route.
+    Violations are findings, not errors: a verdict carries them as witnesses
+    and its ``ok`` turns false.
     """
     if max_p < 3:
         raise OutOfRange(f"conjecture check needs p >= 3, got {max_p}")
     if limit is not None and max_p > limit:
         raise ScanTooLarge(f"scan of p={max_p} exceeds the limit {limit}")
-    totals = range(3, max_p + 1)
-    ones = [0] * 3 + [f_value((1,) * p, memo) for p in totals]
-    runner = [0] * (max_p + 1)
-    attainers: list[list[tuple[int, ...]]] = [[] for _ in range(max_p + 1)]
-    beating: list[list[tuple[int, ...]]] = [[] for _ in range(max_p + 1)]
-    for comp, value in f_walk(max_p, start=3):
-        p = sum(comp)
-        if (value < runner[p] and value < ones[p]) or len(comp) == p:
-            continue  # below every flag's interest, or all-ones itself
-        if value >= ones[p]:
-            beating[p].append(comp)
-        if value > runner[p]:
-            runner[p] = value
-            attainers[p] = [comp]
-        elif value == runner[p]:
-            attainers[p].append(comp)
-    return [
-        _verdict(p, ones[p], runner[p], sorted(attainers[p]), sorted(beating[p]))
-        for p in totals
-    ]
+    verdicts = []
+    best = [1, 1, 2]  # M[m], the largest value at total m
+    for p in range(3, max_p + 1):
+        ones = f_value((1,) * p, memo)
+        floor = min(ones, f_value(runner_up_pattern(p)))  # kept out of memo
+        runner, attainers, beating = 0, [], []
+        for comp, value in _top_compositions(p, floor, best):
+            if len(comp) == p:
+                continue  # all-ones itself
+            if value >= ones:
+                beating.append(comp)
+            if value > runner:
+                runner, attainers = value, [comp]
+            elif value == runner:
+                attainers.append(comp)
+        verdicts.append(_verdict(p, ones, runner, sorted(attainers), sorted(beating)))
+        best.append(max(ones, runner))
+    return verdicts
+
+
+def _top_compositions(p, floor, best):
+    # (composition, value) for every composition of p whose value reaches
+    # floor, and some below it: f_walk's step, but a node of total k < p
+    # expands only if its completions' bound reaches floor (ties survive)
+    stack = [((1,), [0, 1])]
+    while stack:
+        comp, x = stack.pop()
+        k, value = len(x) - 1, sum(x)
+        if k == p:
+            yield comp, value
+        elif comb(p + 1, k + 1) * value * best[p - k - 1] >= floor:
+            stack.append((comp[:-1] + (comp[-1] + 1,), [0, *accumulate(x)]))
+            stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
 
 
 def _verdict(p, ones_value, runner_value, attainers, beating) -> ConjectureVerdict:

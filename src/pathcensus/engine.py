@@ -15,20 +15,21 @@ at most.  The two end blocks cost no passes: the shorter is built in closed
 form, and the longer is summed in one go by the hockey-stick identity, so a
 two-block type is that sum's one binomial term.  :func:`f_walk` walks every
 up/down word of length at most ``p`` once, sharing the DP vector of each
-common prefix: a word of length k is a composition of k+1, so one walk values
-every composition of every total up to ``p``.  :func:`f_table` keeps the walk's
-compositions of ``p`` itself.  :func:`f_recurrence` evaluates
+common prefix: a word of length k has run lengths of total k, so one walk
+values every composition of every total up to ``p``.  :func:`f_table` keeps
+the walk's compositions of ``p`` itself.  :func:`f_recurrence` evaluates
 the defining recurrence on an explicit stack; it is exponential and kept as
 the independent reference the tests compare the DP against.  Results are
 cached in memory only, under the key ``min(c, reversed(c))``: the function is
 invariant under reversal, so one stored entry answers both orientations.
 """
 
+import sys
 from collections.abc import Iterator
 from itertools import accumulate
 from math import comb
 
-from .errors import UndefinedType
+from .errors import OutOfRange, UndefinedType
 from .types import derive_children
 
 __all__ = ["MemoTable", "f_value", "f_walk", "f_table", "f_recurrence", "f_two_block"]
@@ -79,6 +80,11 @@ def _rank_dp(comp: tuple[int, ...]) -> int:
         return 1
     if comp[-1] < comp[0]:
         comp = comp[::-1]
+    # x ends with one entry per element placed before the last block
+    if sum(comp) - comp[-1] >= sys.maxsize:
+        raise OutOfRange(
+            f"type too large: its rank vector would pass {sys.maxsize} entries"
+        )
     x = [0] * comp[0] + [1]
     for block in comp[1:-1]:
         x.reverse()

@@ -14,8 +14,9 @@ class ParseError(PathCensusError):
 
 
 class OutOfRange(PathCensusError, ValueError):
-    """A size below the least one its question is defined for (a scan total
-    under 2, say); also a ``ValueError``, so callers catching that still work."""
+    """A size outside the range its question is defined for (a scan total
+    under 2, or a type whose rank DP would pass the machine's index range);
+    also a ``ValueError``, so callers catching that still work."""
 
 
 class InvalidOrder(PathCensusError):

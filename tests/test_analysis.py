@@ -1,7 +1,8 @@
 """Transitive counts, scans, observation checks, suites, and reports."""
 
-from itertools import takewhile
-from math import factorial
+import time
+from itertools import groupby, product, takewhile
+from math import comb, factorial
 
 import pytest
 
@@ -150,6 +151,64 @@ def test_one_walk_matches_the_sorted_rows_to_p14():
     assert check_conjecture(14) == verdicts[-1]
 
 
+def one_walk_verdicts(max_p):
+    # the unpruned reference: one f_walk pass values every composition of
+    # every total 3..max_p and keeps, per total, the runner-up attainers and
+    # the compositions that reach the all-ones value
+    totals = range(3, max_p + 1)
+    ones = {p: f_value((1,) * p) for p in totals}
+    runner = dict.fromkeys(totals, 0)
+    attainers = {p: [] for p in totals}
+    beating = {p: [] for p in totals}
+    for comp, value in f_walk(max_p, start=3):
+        p = sum(comp)
+        if len(comp) == p:
+            continue
+        if value >= ones[p]:
+            beating[p].append(comp)
+        if value > runner[p]:
+            runner[p], attainers[p] = value, [comp]
+        elif value == runner[p]:
+            attainers[p].append(comp)
+    return [
+        analysis._verdict(p, ones[p], runner[p], sorted(attainers[p]), sorted(beating[p]))
+        for p in totals
+    ]
+
+
+def test_pruned_walk_matches_the_unpruned_walk_to_p20():
+    assert check_conjectures(20, limit=None) == one_walk_verdicts(20)
+
+
+def test_split_identity_behind_the_pruning_bound():
+    # split a permutation of [p+1] after place k+1: pick the values of the
+    # first k+1 places, then order each side; the junction letter c is free
+    values = dict(f_walk(11))
+
+    def F(word):  # the value of a word's run lengths; one empty permutation
+        runs = tuple(len(list(g)) for _, g in groupby(word))
+        return values[runs] if runs else 1
+
+    for n in range(11):
+        for k in range(n + 1):
+            p = n + 1
+            for w in product("ud", repeat=k):
+                for u in product("ud", repeat=n - k):
+                    joined = sum(F(w + (c,) + u) for c in "ud")
+                    assert joined == comb(p + 1, k + 1) * F(w) * F(u)
+
+
+def test_check_conjecture_per_total_and_to_p60_stay_fast():
+    start = time.perf_counter()
+    assert all(check_conjecture(p).ok for p in range(3, 19))
+    assert time.perf_counter() - start < 10.0
+    start = time.perf_counter()
+    verdicts = check_conjectures(60, limit=None)
+    assert [v.p for v in verdicts] == list(range(3, 61))
+    assert all(v.ok for v in verdicts)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_conjecture_holds_to_p10():
     memo = MemoTable()
     for p in range(3, 11):
@@ -184,11 +243,13 @@ ONES_5 = (1, 1, 1, 1, 1)
 def test_conjecture_witness_branches(monkeypatch, changes, flags, witnesses):
     values = dict(f_walk(5))
     values.update(changes)
-    # served in reverse walk order: the verdict must not lean on the order
+    # fed where the verdict reads the walk, since values above the true
+    # maximum break the pruning bound; served in reverse walk order, so the
+    # verdict must not lean on the order
     monkeypatch.setattr(
         analysis,
-        "f_walk",
-        lambda p, start=1: ((c, v) for c, v in reversed(values.items()) if sum(c) >= start),
+        "_top_compositions",
+        lambda p, floor, best: ((c, v) for c, v in reversed(values.items()) if sum(c) == p),
     )
     # the sorted-rows reference scans the same changed values
     monkeypatch.setattr(

@@ -26,6 +26,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, timeout=60):
+    # a real `python -m pathcensus.cli` process, killed past `timeout` seconds
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "pathcensus.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=timeout,
+    )
+
+
 # eval ---------------------------------------------------------------------
 
 def test_eval_listing_default_input(capsys):
@@ -122,6 +134,18 @@ def test_two_block_types_past_the_index_range(capsys):
     assert (code, out) == (0, f"{value}\n")
     code, out, _ = run(capsys, "census", "-n", str(big + 3), "--", f"1,-1,{big}")
     assert (code, out) == (0, f"{value} non-symmetric\n")
+
+
+@pytest.mark.parametrize(
+    "arg",
+    ["100000000000000000000,100000000000000000000", "1,100000000000000000000,1"],
+    ids=["both-ends", "interior"],
+)
+def test_rank_vectors_past_the_index_range_are_usage_errors(arg):
+    # refused before any vector is built: no traceback, no unbounded run
+    done = run_process("eval", arg, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert re.fullmatch(r"error: [^\n]*\n", done.stderr)
 
 
 # scan -----------------------------------------------------------------------
@@ -377,25 +401,11 @@ def test_one_timing_line_on_stderr_only(capsys, argv):
 
 
 def test_module_entry_point_in_a_real_process():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "pathcensus.cli", "scan", "-p", "3", "--format", "csv"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    done = run_process("scan", "-p", "3", "--format", "csv")
     assert done.returncode == 0
     assert done.stdout == "3;1\n1,2;3\n2,1;3\n1,1,1;5\n"
     assert TOOK.fullmatch(done.stderr)
-    refused = subprocess.run(
-        [sys.executable, "-m", "pathcensus.cli", "scan", "-p", "19"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    refused = run_process("scan", "-p", "19")
     assert (refused.returncode, refused.stdout) == (2, "")
     assert "Traceback" not in refused.stderr
 
