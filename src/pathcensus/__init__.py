@@ -11,8 +11,6 @@ from .analysis import (
     ScanReport,
     check_conjecture,
     check_conjectures,
-    report_from_json,
-    report_to_json,
     run_property_suite,
     runner_up_pattern,
     scan,

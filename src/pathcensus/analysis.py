@@ -6,10 +6,10 @@ halved when the type is symmetric (a symmetric path is met once per
 enumeration direction).  On top of that sit a full scan of all compositions
 of a total with ranking, the observation checker for the all-ones maximum,
 exhaustive inequality suites, and a differential check against the
-vertex-order census.
+vertex-order census.  Results are plain dataclasses holding exact ints;
+rendering them as text, csv or JSON is the CLI's job alone.
 """
 
-import json
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb, factorial
@@ -22,7 +22,6 @@ from .types import (
     compositions,
     format_entries,
     is_symmetric,
-    parse_composition,
     signed_lift,
     unsigned,
 )
@@ -42,8 +41,6 @@ __all__ = [
     "OracleDiffReport",
     "verify_against_oracle",
     "verify_tournament_invariants",
-    "report_to_json",
-    "report_from_json",
 ]
 
 DEFAULT_SCAN_LIMIT = 18
@@ -89,39 +86,6 @@ class ScanReport:
     rows: list[tuple[tuple[int, ...], int]]
     max_row: tuple[tuple[int, ...], int]
     runner_up_row: tuple[tuple[int, ...], int]
-
-    def to_csv_lines(self) -> list[str]:
-        return [f"{format_entries(c)};{v}" for c, v in self.rows]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "report": "scan",
-            "p": self.p,
-            "rows": [
-                {"composition": format_entries(c), "value": str(v)}
-                for c, v in self.rows
-            ],
-            "max": {
-                "composition": format_entries(self.max_row[0]),
-                "value": str(self.max_row[1]),
-            },
-            "runner_up": {
-                "composition": format_entries(self.runner_up_row[0]),
-                "value": str(self.runner_up_row[1]),
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ScanReport":
-        def row(entry):
-            return (parse_composition(entry["composition"]), int(entry["value"]))
-
-        return cls(
-            p=data["p"],
-            rows=[row(entry) for entry in data["rows"]],
-            max_row=row(data["max"]),
-            runner_up_row=row(data["runner_up"]),
-        )
 
 
 def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
@@ -170,31 +134,11 @@ class ConjectureVerdict:
             and self.runner_up_exceeds_half_max
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "report": "conjecture",
-            "p": self.p,
-            "all_ones_is_max": self.all_ones_is_max,
-            "runner_up_is_1_2_ones": self.runner_up_is_1_2_ones,
-            "runner_up_exceeds_half_max": self.runner_up_exceeds_half_max,
-            "witnesses": [format_entries(c) for c in self.witnesses],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ConjectureVerdict":
-        return cls(
-            p=data["p"],
-            all_ones_is_max=data["all_ones_is_max"],
-            runner_up_is_1_2_ones=data["runner_up_is_1_2_ones"],
-            runner_up_exceeds_half_max=data["runner_up_exceeds_half_max"],
-            witnesses=[parse_composition(c) for c in data["witnesses"]],
-        )
-
 
 def runner_up_pattern(p: int) -> tuple[int, ...]:
     """The expected second-place composition (1, 2, 1, ..., 1) of total p."""
     if p < 3:
-        raise ValueError(f"runner-up pattern needs p >= 3, got {p}")
+        raise OutOfRange(f"runner-up pattern needs p >= 3, got {p}")
     return (1, 2) + (1,) * (p - 3)
 
 
@@ -327,26 +271,6 @@ class PropertySuiteReport:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "report": "properties",
-            "limit": self.limit,
-            "families": [
-                {"name": f.name, "checked": f.checked, "failures": list(f.failures)}
-                for f in self.families
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PropertySuiteReport":
-        return cls(
-            limit=data["limit"],
-            families=[
-                FamilyResult(f["name"], f["checked"], list(f["failures"]))
-                for f in data["families"]
-            ],
-        )
 
 
 def _check_two_block_value(limit, F, fam):
@@ -514,25 +438,6 @@ class Discrepancy:
     expected: int
     note: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "type": self.type_key,
-            "oracle": str(self.oracle),
-            "expected": str(self.expected),
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Discrepancy":
-        return cls(
-            n=data["n"],
-            type_key=data["type"],
-            oracle=int(data["oracle"]),
-            expected=int(data["expected"]),
-            note=data.get("note", ""),
-        )
-
 
 @dataclass
 class OracleDiffReport:
@@ -545,28 +450,6 @@ class OracleDiffReport:
     @property
     def ok(self) -> bool:
         return not self.discrepancies
-
-    def to_json_dict(self) -> dict:
-        return {
-            "report": "verify",
-            "kind": self.kind,
-            "max_n": self.max_n,
-            "seed": self.seed,
-            "checks": self.checks,
-            "discrepancies": [d.to_json_dict() for d in self.discrepancies],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OracleDiffReport":
-        return cls(
-            kind=data["kind"],
-            max_n=data["max_n"],
-            seed=data["seed"],
-            checks=data["checks"],
-            discrepancies=[
-                Discrepancy.from_json_dict(d) for d in data["discrepancies"]
-            ],
-        )
 
 
 def _check_orders(max_n: int, census_limit: int | None) -> None:
@@ -669,29 +552,3 @@ def verify_tournament_invariants(
         checks=checks,
         discrepancies=discrepancies,
     )
-
-
-# ---------------------------------------------------------------------------
-# report (de)serialization
-
-_REPORT_CLASSES = {
-    "scan": ScanReport,
-    "conjecture": ConjectureVerdict,
-    "properties": PropertySuiteReport,
-    "verify": OracleDiffReport,
-}
-
-
-def report_to_json(report) -> str:
-    """JSON text for any report object; counts travel as decimal strings."""
-    return json.dumps(report.to_json_dict(), indent=2)
-
-
-def report_from_json(text: str):
-    """Inverse of :func:`report_to_json`."""
-    data = json.loads(text)
-    try:
-        cls = _REPORT_CLASSES[data["report"]]
-    except KeyError:
-        raise ValueError(f"unknown report kind in JSON: {data.get('report')!r}") from None
-    return cls.from_json_dict(data)

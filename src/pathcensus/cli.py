@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Subcommands: eval, census, scan, conjecture, verify, bench.  Primary results
-go to stdout (text, json, or csv); one ``took <seconds>s`` line goes to
-stderr so stdout stays pipe-safe.  Exit codes: 0 clean, 1 mathematical
-finding (oracle discrepancy or observation violation), 2 usage error.  The
-library decides what is a usage error: each ``PathCensusError`` becomes one
-``error:`` line and exit 2.  ``--force`` lifts the library's size limits.
+Subcommands: eval, census, scan, conjecture, verify, bench.  This module is
+the only one that knows output formats: the library returns dataclasses and
+exact ints, and each command renders them here as text, csv or JSON, with
+every count a decimal string.  Primary results go to stdout; one
+``took <seconds>s`` line goes to stderr so stdout stays pipe-safe.  Exit
+codes: 0 clean, 1 mathematical finding (oracle discrepancy or observation
+violation), 2 usage error.  The library decides what is a usage error: each
+``PathCensusError`` becomes one ``error:`` line and exit 2.  ``--force``
+lifts the library's size limits.
 """
 
 import argparse
@@ -16,7 +19,6 @@ import time
 from .analysis import (
     DEFAULT_SCAN_LIMIT,
     check_conjectures,
-    report_to_json,
     scan,
     tt_count,
     verify_against_oracle,
@@ -98,23 +100,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "conjecture", help="check the all-ones maximality observations"
     )
-    p.add_argument("--max-p", type=int, default=DEFAULT_SCAN_LIMIT)
+    p.add_argument(
+        "--max-p",
+        type=int,
+        default=DEFAULT_SCAN_LIMIT,
+        help=f"judge every total 3..MAX_P (default: {DEFAULT_SCAN_LIMIT})",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser("verify", help="cross-check counts against brute force")
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument(
+        "--max-n", type=int, default=8, help="check every order 3..MAX_N (default: 8)"
+    )
     p.add_argument(
         "--kind",
         choices=("transitive", "nearly", "random"),
         default="transitive",
+        help="tournament family (default: transitive)",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0, help="seed of --kind random (default: 0)"
+    )
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="time a scan of all compositions of a total")
-    p.add_argument("-p", type=int, default=14)
+    p.add_argument("-p", type=int, default=14, help="composition total (default: 14)")
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 
@@ -131,6 +143,10 @@ def _json(data) -> str:
     return json.dumps(data, indent=2)
 
 
+def _row(comp, value) -> dict:
+    return {"composition": format_entries(comp), "value": str(value)}
+
+
 def _limit(args, name: str = "limit") -> dict:
     """Keyword arguments that lift the library's size limit under --force."""
     return {name: None} if args.force else {}
@@ -138,13 +154,11 @@ def _limit(args, name: str = "limit") -> dict:
 
 def cmd_eval(args):
     comp = parse_composition(args.tuple)
-    value = str(f_value(comp))
-    key = format_entries(comp)
-    data = {"report": "eval", "composition": key, "value": value}
+    value = f_value(comp)
     return EXIT_OK, {
-        "text": lambda: [value],
-        "csv": lambda: [f"{key};{value}"],
-        "json": lambda: [_json(data)],
+        "text": lambda: [str(value)],
+        "csv": lambda: [f"{format_entries(comp)};{value}"],
+        "json": lambda: [_json({"report": "eval", **_row(comp, value)})],
     }
 
 
@@ -179,10 +193,19 @@ def cmd_scan(args):
             ordered = sorted(ordered, key=lambda r: r[0])
         return (f"{format_entries(c)}{sep}{v}" for c, v in ordered)
 
+    def data():
+        return {
+            "report": "scan",
+            "p": report.p,
+            "rows": [_row(*r) for r in report.rows],
+            "max": _row(*report.max_row),
+            "runner_up": _row(*report.runner_up_row),
+        }
+
     return EXIT_OK, {
         "text": lambda: rows(" => "),
         "csv": lambda: rows(";"),
-        "json": lambda: [report_to_json(report)],
+        "json": lambda: [_json(data())],
     }
 
 
@@ -201,6 +224,17 @@ def _conjecture_text(v) -> str:
     return line
 
 
+def _conjecture_json(v) -> dict:
+    return {
+        "report": "conjecture",
+        "p": v.p,
+        "all_ones_is_max": v.all_ones_is_max,
+        "runner_up_is_1_2_ones": v.runner_up_is_1_2_ones,
+        "runner_up_exceeds_half_max": v.runner_up_exceeds_half_max,
+        "witnesses": [format_entries(c) for c in v.witnesses],
+    }
+
+
 def cmd_conjecture(args):
     verdicts = check_conjectures(args.max_p, **_limit(args))
     code = EXIT_OK if all(v.ok for v in verdicts) else EXIT_FINDING
@@ -217,7 +251,7 @@ def cmd_conjecture(args):
                 {
                     "report": "conjecture-run",
                     "max_p": args.max_p,
-                    "verdicts": [v.to_json_dict() for v in verdicts],
+                    "verdicts": [_conjecture_json(v) for v in verdicts],
                 }
             )
         ],
@@ -235,6 +269,26 @@ def cmd_verify(args):
         f"kind={report.kind} n=3..{report.max_n} checks={report.checks} "
         f"discrepancies={len(found)}"
     )
+
+    def data():
+        return {
+            "report": "verify",
+            "kind": report.kind,
+            "max_n": report.max_n,
+            "seed": report.seed,
+            "checks": report.checks,
+            "discrepancies": [
+                {
+                    "n": d.n,
+                    "type": d.type_key,
+                    "oracle": str(d.oracle),
+                    "expected": str(d.expected),
+                    "note": d.note,
+                }
+                for d in found
+            ],
+        }
+
     return EXIT_OK if report.ok else EXIT_FINDING, {
         "text": lambda: [header] + [
             f"n={d.n} type={d.type_key} oracle={d.oracle} "
@@ -244,7 +298,7 @@ def cmd_verify(args):
         "csv": lambda: (
             f"{d.n};{d.type_key};{d.oracle};{d.expected};{d.note}" for d in found
         ),
-        "json": lambda: [report_to_json(report)],
+        "json": lambda: [_json(data())],
     }
 
 

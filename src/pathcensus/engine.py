@@ -123,7 +123,7 @@ def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
     Live state is the stack of at most ``p`` pending DP vectors.
     """
     if p < 1:
-        raise ValueError(f"total must be positive, got {p}")
+        raise OutOfRange(f"total must be positive, got {p}")
     stack = [((1,), [0, 1])]
     while stack:
         comp, x = stack.pop()
@@ -184,5 +184,5 @@ def f_two_block(m: int, n: int) -> int:
     against :func:`f_value` the identity checks nothing.
     """
     if m < 1 or n < 1:
-        raise ValueError(f"block lengths must be positive, got ({m}, {n})")
+        raise OutOfRange(f"block lengths must be positive, got ({m}, {n})")
     return comb(m + n, m)

@@ -14,9 +14,10 @@ class ParseError(PathCensusError):
 
 
 class OutOfRange(PathCensusError, ValueError):
-    """A size outside the range its question is defined for (a scan total
-    under 2, or a type whose rank DP would pass the machine's index range);
-    also a ``ValueError``, so callers catching that still work."""
+    """A size outside the range its question is defined for (a total or
+    block length below its least value, such as a scan total under 2, or a
+    type whose rank DP would pass the machine's index range); also a
+    ``ValueError``, so callers catching that still work."""
 
 
 class InvalidOrder(PathCensusError):

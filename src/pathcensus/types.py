@@ -14,7 +14,7 @@ a dictionary key.
 
 from collections.abc import Iterator, Sequence
 
-from .errors import ParseError, UndefinedType
+from .errors import OutOfRange, ParseError, UndefinedType
 
 __all__ = [
     "normalize",
@@ -167,7 +167,7 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
     """All ordered tuples of positive integers summing to ``total``
     (there are ``2**(total-1)``), largest first entry first."""
     if total < 1:
-        raise ValueError(f"total must be positive, got {total}")
+        raise OutOfRange(f"total must be positive, got {total}")
     yield from _compositions(total)
 
 

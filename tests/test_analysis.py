@@ -1,22 +1,20 @@
-"""Transitive counts, scans, observation checks, suites, and reports."""
+"""Transitive counts, scans, observation checks, suites, and oracle checks."""
 
+import json
 import time
 from itertools import groupby, product, takewhile
 from math import comb, factorial
 
 import pytest
 
-from pathcensus import analysis
+from pathcensus import analysis, cli
 from pathcensus.analysis import (
     ConjectureVerdict,
     Discrepancy,
     OracleDiffReport,
-    PropertySuiteReport,
     ScanReport,
     check_conjecture,
     check_conjectures,
-    report_from_json,
-    report_to_json,
     run_property_suite,
     runner_up_pattern,
     scan,
@@ -24,9 +22,21 @@ from pathcensus.analysis import (
     verify_against_oracle,
     verify_tournament_invariants,
 )
-from pathcensus.engine import MemoTable, f_value, f_walk
-from pathcensus.errors import OrderTooLarge, OutOfRange, ScanTooLarge, TypeOrderMismatch
-from pathcensus.types import canonical_key, compositions, negate, signed_lift
+from pathcensus.engine import MemoTable, f_two_block, f_value, f_walk
+from pathcensus.errors import (
+    OrderTooLarge,
+    OutOfRange,
+    PathCensusError,
+    ScanTooLarge,
+    TypeOrderMismatch,
+)
+from pathcensus.types import (
+    canonical_key,
+    compositions,
+    negate,
+    parse_composition,
+    signed_lift,
+)
 
 
 # tt_count -----------------------------------------------------------------
@@ -180,6 +190,15 @@ def test_pruned_walk_matches_the_unpruned_walk_to_p20():
     assert check_conjectures(20, limit=None) == one_walk_verdicts(20)
 
 
+def test_a_subtree_bound_equal_to_the_floor_is_expanded():
+    # M[0..5] and the root (1,) of total 5: its completions' bound is
+    # C(6, 2) * F(1) * M[3] = 15 * 1 * 5 = 75, so a floor of exactly 75
+    # keeps the subtree and its all-ones leaf; one above it drops both
+    best = [1, 1, 2, 5, 16, 61]
+    assert ((1, 1, 1, 1, 1), 61) in list(analysis._top_compositions(5, 75, best))
+    assert list(analysis._top_compositions(5, 76, best)) == []
+
+
 def test_split_identity_behind_the_pruning_bound():
     # split a permutation of [p+1] after place k+1: pick the values of the
     # first k+1 places, then order each side; the junction letter c is free
@@ -272,6 +291,24 @@ def test_conjecture_rejects_tiny_p():
         check_conjecture(2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: runner_up_pattern(2),
+        lambda: list(f_walk(0)),
+        lambda: list(compositions(0)),
+        lambda: f_two_block(0, 3),
+        lambda: f_two_block(3, 0),
+    ],
+    ids=["runner_up_pattern", "f_walk", "compositions", "f_two_block-m", "f_two_block-n"],
+)
+def test_sizes_below_the_range_are_library_errors(call):
+    with pytest.raises(PathCensusError) as caught:
+        call()
+    assert isinstance(caught.value, OutOfRange)
+    assert isinstance(caught.value, ValueError)
+
+
 # property suite -----------------------------------------------------------------
 
 def test_property_suite_clean_at_total_12():
@@ -350,25 +387,44 @@ def test_verify_rejects_unknown_kind():
         verify_tournament_invariants("weird", 5)
 
 
-# report serialization ----------------------------------------------------------------
+# reports as the CLI renders them -----------------------------------------------------
 
-def test_scan_report_json_roundtrip():
+def render(monkeypatch, capsys, call, result, *argv):
+    """Exit code and stdout of `argv` when the CLI's `call` returns `result`."""
+    monkeypatch.setattr(cli, call, lambda *a, **k: result)
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def row_from_json(entry):
+    return parse_composition(entry["composition"]), int(entry["value"])
+
+
+def test_scan_report_json_roundtrip(monkeypatch, capsys):
     report = scan(5)
-    again = report_from_json(report_to_json(report))
+    code, out = render(monkeypatch, capsys, "scan", report, "scan", "-p", "5", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    again = ScanReport(
+        p=data["p"],
+        rows=[row_from_json(r) for r in data["rows"]],
+        max_row=row_from_json(data["max"]),
+        runner_up_row=row_from_json(data["runner_up"]),
+    )
     assert again == report
 
 
-def test_big_values_survive_json_as_strings():
-    row = ((40, 40), 107507208733336176461620)  # C(80, 40), far past 2^53
-    report = ScanReport(p=80, rows=[row], max_row=row, runner_up_row=row)
-    text = report_to_json(report)
-    assert '"107507208733336176461620"' in text
-    assert report_from_json(text) == report
+def verdict_from_json(entry):
+    return ConjectureVerdict(
+        p=entry["p"],
+        all_ones_is_max=entry["all_ones_is_max"],
+        runner_up_is_1_2_ones=entry["runner_up_is_1_2_ones"],
+        runner_up_exceeds_half_max=entry["runner_up_exceeds_half_max"],
+        witnesses=[parse_composition(c) for c in entry["witnesses"]],
+    )
 
 
-def test_conjecture_verdict_json_roundtrip():
-    verdict = check_conjecture(5)
-    assert report_from_json(report_to_json(verdict)) == verdict
+def test_conjecture_verdict_json_roundtrip(monkeypatch, capsys):
     fail = ConjectureVerdict(
         p=9,
         all_ones_is_max=False,
@@ -376,12 +432,37 @@ def test_conjecture_verdict_json_roundtrip():
         runner_up_exceeds_half_max=True,
         witnesses=[(2, 3, 4)],
     )
-    assert report_from_json(report_to_json(fail)) == fail
+    for verdict, exit_code in [(check_conjecture(5), 0), (fail, 1)]:
+        code, out = render(
+            monkeypatch, capsys, "check_conjectures", [verdict],
+            "conjecture", "--max-p", str(verdict.p), "--format", "json",
+        )
+        assert code == exit_code
+        (entry,) = json.loads(out)["verdicts"]
+        assert verdict_from_json(entry) == verdict
 
 
-def test_verify_report_json_roundtrip():
+def report_from_json(data):
+    return OracleDiffReport(
+        kind=data["kind"],
+        max_n=data["max_n"],
+        seed=data["seed"],
+        checks=data["checks"],
+        discrepancies=[
+            Discrepancy(d["n"], d["type"], int(d["oracle"]), int(d["expected"]), d["note"])
+            for d in data["discrepancies"]
+        ],
+    )
+
+
+def test_verify_report_json_roundtrip(monkeypatch, capsys):
     report = verify_against_oracle(4)
-    assert report_from_json(report_to_json(report)) == report
+    code, out = render(
+        monkeypatch, capsys, "verify_against_oracle", report,
+        "verify", "--max-n", "4", "--format", "json",
+    )
+    assert code == 0
+    assert report_from_json(json.loads(out)) == report
     withdiff = OracleDiffReport(
         kind="random",
         max_n=5,
@@ -389,21 +470,15 @@ def test_verify_report_json_roundtrip():
         checks=7,
         discrepancies=[Discrepancy(5, "2,-2", 3, 4, "complement")],
     )
-    assert report_from_json(report_to_json(withdiff)) == withdiff
+    code, out = render(
+        monkeypatch, capsys, "verify_tournament_invariants", withdiff,
+        "verify", "--max-n", "5", "--kind", "random", "--seed", "3", "--format", "json",
+    )
+    assert code == 1
+    assert report_from_json(json.loads(out)) == withdiff
 
 
-def test_property_report_json_roundtrip():
-    report = run_property_suite(8)
-    again = report_from_json(report_to_json(report))
-    assert isinstance(again, PropertySuiteReport)
-    assert again == report
-
-
-def test_report_from_json_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        report_from_json('{"report": "nonsense"}')
-
-
-def test_scan_csv_lines():
-    lines = scan(3).to_csv_lines()
-    assert lines == ["3;1", "1,2;3", "2,1;3", "1,1,1;5"]
+def test_scan_csv_lines(monkeypatch, capsys):
+    code, out = render(monkeypatch, capsys, "scan", scan(3), "scan", "-p", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["3;1", "1,2;3", "2,1;3", "1,1,1;5"]

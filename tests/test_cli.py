@@ -14,10 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathcensus import cli
-from pathcensus.analysis import ConjectureVerdict, ScanReport, report_from_json
+from pathcensus.analysis import (
+    ConjectureVerdict,
+    Discrepancy,
+    OracleDiffReport,
+    ScanReport,
+    check_conjectures,
+    scan,
+    verify_against_oracle,
+)
 from pathcensus.engine import f_value
+from pathcensus.types import parse_composition
 
 TOOK = re.compile(r"took \d+\.\d{3}s\n")  # the one stderr line of a run
+DECIMAL = re.compile(r"[1-9]\d*|0")  # how every count travels in JSON
 
 
 def run(capsys, *argv):
@@ -107,6 +117,14 @@ def test_census_json(capsys):
     data = json.loads(out)
     assert data["symmetric"] is True
     assert data["value"] == "1"
+    _, out, _ = run(capsys, "census", "-n", "8", "3,-4", "--format", "json")
+    assert json.loads(out) == {
+        "report": "census",
+        "n": 8,
+        "type": "3,-4",
+        "symmetric": False,
+        "value": "35",
+    }
 
 
 def test_census_negative_leading_type_via_separator(capsys):
@@ -166,11 +184,22 @@ def test_scan_sort_by_composition(capsys):
     assert out.splitlines() == ["1,1,1;5", "1,2;3", "2,1;3", "3;1"]
 
 
+def scan_row(entry):
+    assert set(entry) == {"composition", "value"}
+    assert DECIMAL.fullmatch(entry["value"])
+    return parse_composition(entry["composition"]), int(entry["value"])
+
+
 def test_scan_json_roundtrips(capsys):
     code, out, _ = run(capsys, "scan", "-p", "4", "--format", "json")
-    report = report_from_json(out)
-    assert isinstance(report, ScanReport)
-    assert report.max_row == ((1, 1, 1, 1), 16)
+    assert code == 0
+    data = json.loads(out)
+    assert list(data) == ["report", "p", "rows", "max", "runner_up"]
+    assert (data["report"], data["p"]) == ("scan", 4)
+    report = scan(4)
+    assert [scan_row(r) for r in data["rows"]] == report.rows
+    assert scan_row(data["max"]) == report.max_row == ((1, 1, 1, 1), 16)
+    assert scan_row(data["runner_up"]) == report.runner_up_row
 
 
 def test_scan_over_limit_needs_force(capsys):
@@ -205,11 +234,25 @@ def test_conjecture_small_run(capsys):
     assert lines[0].startswith("p=3 all_ones_max=yes")
 
 
+def verdict_from_json(entry):
+    assert entry["report"] == "conjecture"
+    return ConjectureVerdict(
+        p=entry["p"],
+        all_ones_is_max=entry["all_ones_is_max"],
+        runner_up_is_1_2_ones=entry["runner_up_is_1_2_ones"],
+        runner_up_exceeds_half_max=entry["runner_up_exceeds_half_max"],
+        witnesses=[parse_composition(c) for c in entry["witnesses"]],
+    )
+
+
 def test_conjecture_json_verdicts_roundtrip(capsys):
     code, out, _ = run(capsys, "conjecture", "--max-p", "4", "--format", "json")
+    assert code == 0
     data = json.loads(out)
     assert data["report"] == "conjecture-run"
-    verdicts = [ConjectureVerdict.from_json_dict(v) for v in data["verdicts"]]
+    assert data["max_p"] == 4
+    verdicts = [verdict_from_json(v) for v in data["verdicts"]]
+    assert verdicts == check_conjectures(4)
     assert [v.p for v in verdicts] == [3, 4]
     assert all(v.ok for v in verdicts)
 
@@ -243,6 +286,11 @@ def test_conjecture_violation_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "conjecture", "--max-p", "3")
     assert code == 1
     assert "witnesses=3" in out
+    code, out, _ = run(capsys, "conjecture", "--max-p", "3", "--format", "json")
+    assert code == 1
+    (verdict,) = json.loads(out)["verdicts"]
+    assert verdict["witnesses"] == ["3"]
+    assert verdict_from_json(verdict) == fake
 
 
 # verify ----------------------------------------------------------------------------
@@ -271,9 +319,22 @@ def test_verify_random_seeded(capsys):
 
 
 def test_verify_json(capsys):
-    _, out, _ = run(capsys, "verify", "--max-n", "4", "--format", "json")
-    report = report_from_json(out)
-    assert report.ok and report.max_n == 4
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", "json")
+    assert code == 0
+    report = verify_against_oracle(4)
+    assert json.loads(out) == {
+        "report": "verify",
+        "kind": "transitive",
+        "max_n": 4,
+        "seed": None,
+        "checks": report.checks,
+        "discrepancies": [],
+    }
+    _, out, _ = run(
+        capsys, "verify", "--max-n", "4", "--kind", "random", "--seed", "3", "--format", "json"
+    )
+    data = json.loads(out)
+    assert (data["kind"], data["seed"], data["discrepancies"]) == ("random", 3, [])
 
 
 def test_verify_over_limit_needs_force(capsys):
@@ -281,8 +342,6 @@ def test_verify_over_limit_needs_force(capsys):
 
 
 def test_verify_discrepancy_exits_one(capsys, monkeypatch):
-    from pathcensus.analysis import Discrepancy, OracleDiffReport
-
     fake = OracleDiffReport(
         kind="transitive",
         max_n=4,
@@ -294,6 +353,39 @@ def test_verify_discrepancy_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "4")
     assert code == 1
     assert "n=4 type=3 oracle=1 expected=2" in out
+
+
+# JSON counts ----------------------------------------------------------------------
+
+BIG = 107507208733336176461620  # C(80, 40), far past 2^53
+
+
+def test_big_values_survive_json_as_strings(capsys, monkeypatch):
+    row = ((40, 40), BIG)
+    report = ScanReport(p=80, rows=[row], max_row=row, runner_up_row=row)
+    monkeypatch.setattr(cli, "scan", lambda *a, **k: report)
+    code, out, _ = run(capsys, "scan", "-p", "5", "--format", "json")
+    assert code == 0
+    assert f'"{BIG}"' in out
+    data = json.loads(out)
+    assert data["p"] == 80
+    assert [scan_row(r) for r in data["rows"]] == [row]
+    assert scan_row(data["max"]) == scan_row(data["runner_up"]) == row
+
+    found = Discrepancy(81, "40,-40", BIG, BIG + 1, "transitive-census")
+    fake = OracleDiffReport("transitive", 81, None, 7, [found])
+    monkeypatch.setattr(cli, "verify_against_oracle", lambda *a, **k: fake)
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["discrepancies"] == [
+        {
+            "n": 81,
+            "type": "40,-40",
+            "oracle": str(BIG),
+            "expected": str(BIG + 1),
+            "note": "transitive-census",
+        }
+    ]
 
 
 # bench ------------------------------------------------------------------------------
