@@ -41,8 +41,6 @@ from .oracle import (
     make_random,
     make_tournament,
     make_transitive,
-    tournament_from_text,
-    tournament_to_text,
 )
 from .types import (
     canonical_key,

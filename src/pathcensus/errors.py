@@ -10,7 +10,7 @@ class UndefinedType(PathCensusError):
 
 
 class ParseError(PathCensusError):
-    """Malformed textual input (type tuples, tournament files)."""
+    """Malformed textual input (type tuples)."""
 
 
 class OutOfRange(PathCensusError, ValueError):
