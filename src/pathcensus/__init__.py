@@ -18,7 +18,7 @@ from .analysis import (
     verify_against_oracle,
     verify_tournament_invariants,
 )
-from .engine import MemoTable, f_recurrence, f_table, f_two_block, f_value, f_walk
+from .engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
 from .errors import (
     InvalidOrder,
     OrderTooLarge,
@@ -44,17 +44,15 @@ from .oracle import (
 )
 from .types import (
     canonical_key,
+    check_signed_type,
     compositions,
     derive_children,
-    derive_signed_children,
     format_entries,
     is_symmetric,
     negate,
-    normalize,
     parse_composition,
     parse_signed_type,
     reverse,
-    same_path_set,
     signed_lift,
     unsigned,
 )

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb, factorial
 
-from .engine import MemoTable, f_table, f_two_block, f_value
+from .engine import MemoTable, f_two_block, f_value, f_walk
 from .errors import OrderTooLarge, OutOfRange, ScanTooLarge, TheoremViolation, TypeOrderMismatch
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
 from .types import (
     canonical_key,
+    check_signed_type,
     compositions,
     format_entries,
     is_symmetric,
@@ -32,6 +33,7 @@ __all__ = [
     "ScanReport",
     "scan",
     "ConjectureVerdict",
+    "runner_up_pattern",
     "check_conjecture",
     "check_conjectures",
     "FamilyResult",
@@ -51,9 +53,10 @@ def tt_count(n: int, a, memo: MemoTable | None = None) -> int:
 
     Equals the path-function value of the block lengths, halved for
     symmetric types.  The halving must be exact; an odd value there would
-    mean the engine or the halving rule is broken.
+    mean the engine or the halving rule is broken.  A tuple that is not a
+    signed type raises :class:`ParseError`.
     """
-    a = tuple(a)
+    a = check_signed_type(a)
     total = sum(abs(e) for e in a)
     if total != n - 1:
         raise TypeOrderMismatch(
@@ -98,7 +101,7 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
         raise OutOfRange(f"scan needs p >= 2, got {p}")
     if limit is not None and p > limit:
         raise ScanTooLarge(f"scan of p={p} exceeds the limit {limit}")
-    rows = sorted(f_table(p), key=lambda r: (r[1], r[0]))
+    rows = sorted(f_walk(p, start=p), key=lambda r: (r[1], r[0]))
     # rows ascend by (value, composition): the runner-up is the last row
     # unless that one is the all-ones composition
     runner_up = rows[-2] if rows[-1][0] == (1,) * p else rows[-1]
@@ -179,7 +182,7 @@ def check_conjectures(
     if max_p < 3:
         raise OutOfRange(f"conjecture check needs p >= 3, got {max_p}")
     if limit is not None and max_p > limit:
-        raise ScanTooLarge(f"scan of p={max_p} exceeds the limit {limit}")
+        raise ScanTooLarge(f"conjecture check of p={max_p} exceeds the limit {limit}")
     verdicts = []
     best = [1, 1, 2]  # M[m], the largest value at total m
     for p in range(3, max_p + 1):
@@ -452,29 +455,29 @@ class OracleDiffReport:
         return not self.discrepancies
 
 
-def _check_orders(max_n: int, census_limit: int | None) -> None:
+def _check_orders(max_n: int, limit: int | None) -> None:
     # refuse before the first census, not after the orders below the limit
     if max_n < 3:
         raise OutOfRange(f"verification needs max_n >= 3, got {max_n}")
-    if census_limit is not None and max_n > census_limit:
-        raise OrderTooLarge(f"census of order {max_n} exceeds the limit {census_limit}")
+    if limit is not None and max_n > limit:
+        raise OrderTooLarge(f"census of order {max_n} exceeds the limit {limit}")
 
 
 def verify_against_oracle(
     max_n: int,
     memo: MemoTable | None = None,
     *,
-    census_limit: int | None = CENSUS_LIMIT,
+    limit: int | None = CENSUS_LIMIT,
 ) -> OracleDiffReport:
     """Compare the path-function route with the vertex-order census on every
     transitive tournament up to ``max_n``, key for key."""
-    _check_orders(max_n, census_limit)
+    _check_orders(max_n, limit)
     if memo is None:
         memo = MemoTable()
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):
-        cen = census(make_transitive(n), limit=census_limit)
+        cen = census(make_transitive(n), limit=limit)
         expected: dict[tuple[int, ...], int] = {}
         for comp in compositions(n - 1):
             for lead in (True, False):
@@ -503,7 +506,7 @@ def verify_tournament_invariants(
     max_n: int,
     seed: int = 0,
     *,
-    census_limit: int | None = CENSUS_LIMIT,
+    limit: int | None = CENSUS_LIMIT,
 ) -> OracleDiffReport:
     """Self-checks for non-transitive tournaments.
 
@@ -514,13 +517,13 @@ def verify_tournament_invariants(
     """
     if kind not in ("nearly", "random"):
         raise ValueError(f"unknown tournament kind: {kind!r}")
-    _check_orders(max_n, census_limit)
+    _check_orders(max_n, limit)
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):
         t = make_nearly_transitive(n) if kind == "nearly" else make_random(n, seed)
-        cen = census(t, limit=census_limit)
-        comp_cen = census(complement(t), limit=census_limit)
+        cen = census(t, limit=limit)
+        comp_cen = census(complement(t), limit=limit)
 
         checks += 1
         total = cen.total()

@@ -147,9 +147,9 @@ def _row(comp, value) -> dict:
     return {"composition": format_entries(comp), "value": str(value)}
 
 
-def _limit(args, name: str = "limit") -> dict:
+def _limit(args) -> dict:
     """Keyword arguments that lift the library's size limit under --force."""
-    return {name: None} if args.force else {}
+    return {"limit": None} if args.force else {}
 
 
 def cmd_eval(args):
@@ -259,7 +259,7 @@ def cmd_conjecture(args):
 
 
 def cmd_verify(args):
-    limit = _limit(args, "census_limit")
+    limit = _limit(args)
     if args.kind == "transitive":
         report = verify_against_oracle(args.max_n, **limit)
     else:

@@ -16,12 +16,12 @@ form, and the longer is summed in one go by the hockey-stick identity, so a
 two-block type is that sum's one binomial term.  :func:`f_walk` walks every
 up/down word of length at most ``p`` once, sharing the DP vector of each
 common prefix: a word of length k has run lengths of total k, so one walk
-values every composition of every total up to ``p``.  :func:`f_table` keeps
-the walk's compositions of ``p`` itself.  :func:`f_recurrence` evaluates
-the defining recurrence on an explicit stack; it is exponential and kept as
-the independent reference the tests compare the DP against.  Results are
-cached in memory only, under the key ``min(c, reversed(c))``: the function is
-invariant under reversal, so one stored entry answers both orientations.
+values every composition of every total up to ``p``.  :func:`f_recurrence`
+evaluates the defining recurrence on an explicit stack; it is exponential
+and kept as the independent reference the tests compare the DP against.
+Results are cached in memory only, under the key ``min(c, reversed(c))``:
+the function is invariant under reversal, so one stored entry answers both
+orientations.
 """
 
 import sys
@@ -32,7 +32,7 @@ from math import comb
 from .errors import OutOfRange, UndefinedType
 from .types import derive_children
 
-__all__ = ["MemoTable", "f_value", "f_walk", "f_table", "f_recurrence", "f_two_block"]
+__all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
 
 
 class MemoTable:
@@ -54,9 +54,6 @@ class MemoTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, c: tuple[int, ...]) -> bool:
-        return self.canonical(tuple(c)) in self.entries
 
 
 def _composition(c) -> tuple[int, ...]:
@@ -134,19 +131,13 @@ def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
             stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
 
 
-def f_table(p: int) -> list[tuple[tuple[int, ...], int]]:
-    """``(composition, value)`` for all ``2**(p-1)`` compositions of ``p``,
-    in :func:`f_walk` order."""
-    return list(f_walk(p, start=p))
-
-
 def f_recurrence(c, memo: MemoTable | None = None) -> int:
     """Path-function value from the defining recurrence (reference route).
 
     Walks an explicit stack instead of recursing, so the composition total
     never threatens the interpreter stack, and stores every intermediate
     composition in ``memo``.  Exponential in the total; the tests compare
-    :func:`f_value` and :func:`f_table` against it.
+    :func:`f_value` and :func:`f_walk` against it.
     """
     comp = _composition(c)
     if memo is None:

@@ -6,11 +6,13 @@ class PathCensusError(Exception):
 
 
 class UndefinedType(PathCensusError):
-    """A type tuple reduced to nothing; the path-function is undefined there."""
+    """A tuple the path-function is undefined on: empty, not a composition,
+    or a single unit block asked for its children."""
 
 
 class ParseError(PathCensusError):
-    """Malformed textual input (type tuples)."""
+    """Malformed type input: unparsable text, or a tuple with a zero entry
+    or two same-signed neighbours."""
 
 
 class OutOfRange(PathCensusError, ValueError):

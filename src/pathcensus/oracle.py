@@ -24,7 +24,7 @@ from .errors import (
     TheoremViolation,
     TypeOrderMismatch,
 )
-from .types import canonical_key
+from .types import canonical_key, check_signed_type
 
 __all__ = [
     "CENSUS_LIMIT",
@@ -218,8 +218,9 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
 
 
 def count_type(t: Tournament, a, *, limit: int | None = CENSUS_LIMIT) -> int:
-    """Number of Hamiltonian oriented paths of type ``a`` in ``t``."""
-    a = tuple(a)
+    """Number of Hamiltonian oriented paths of type ``a`` in ``t``; a tuple
+    that is not a signed type raises :class:`ParseError`."""
+    a = check_signed_type(a)
     total = sum(abs(e) for e in a)
     if total != t.n - 1:
         raise TypeOrderMismatch(

@@ -17,48 +17,19 @@ from collections.abc import Iterator, Sequence
 from .errors import OutOfRange, ParseError, UndefinedType
 
 __all__ = [
-    "normalize",
     "reverse",
     "negate",
     "is_symmetric",
-    "same_path_set",
     "canonical_key",
     "derive_children",
-    "derive_signed_children",
     "compositions",
     "signed_lift",
     "unsigned",
+    "check_signed_type",
     "parse_composition",
     "parse_signed_type",
     "format_entries",
 ]
-
-
-def normalize(entries: Sequence[int]) -> tuple[int, ...]:
-    """Reduce away zero entries.
-
-    Zeros at either end are dropped; an interior zero is replaced by merging
-    its two neighbours (which carry the same sign in an alternating tuple).
-    Repeats until no zero remains.
-
-    Raises :class:`UndefinedType` if the tuple reduces to nothing.
-    """
-    t = list(entries)
-    while t:
-        if t[0] == 0:
-            del t[0]
-            continue
-        if t[-1] == 0:
-            del t[-1]
-            continue
-        try:
-            i = t.index(0)
-        except ValueError:
-            break
-        t[i - 1 : i + 2] = [t[i - 1] + t[i + 1]]
-    if not t:
-        raise UndefinedType("type tuple reduced to nothing; value undefined")
-    return tuple(t)
 
 
 def reverse(a: Sequence[int]) -> tuple[int, ...]:
@@ -80,14 +51,6 @@ def is_symmetric(a: Sequence[int]) -> bool:
     """
     a = tuple(a)
     return a == negate(reverse(a))
-
-
-def same_path_set(a: Sequence[int], b: Sequence[int]) -> bool:
-    """True iff the two signed types describe the same set of paths,
-    i.e. ``a == b`` or ``a == negate(reverse(b))``."""
-    a = tuple(a)
-    b = tuple(b)
-    return a == b or a == negate(reverse(b))
 
 
 def _entry_rank(e: int) -> tuple[int, int]:
@@ -127,24 +90,6 @@ def derive_children(c: Sequence[int]) -> list[tuple[int, ...]]:
             out.append(c[:-1])
         else:
             out.append(c[: i - 1] + (c[i - 1] + c[i + 1],) + c[i + 2 :])
-    return out
-
-
-def derive_signed_children(
-    a: Sequence[int], *, reduce: bool = True
-) -> list[tuple[int, ...]]:
-    """Move each entry one unit toward zero, one slot at a time.
-
-    With ``reduce=True`` (default) every child is zero-reduced via
-    :func:`normalize`; with ``reduce=False`` the raw tuples are returned,
-    each containing at most one zero.
-    """
-    a = tuple(a)
-    out = []
-    for i, e in enumerate(a):
-        step = -1 if e > 0 else 1
-        raw = a[:i] + (e + step,) + a[i + 1 :]
-        out.append(normalize(raw) if reduce else raw)
     return out
 
 
@@ -192,6 +137,19 @@ def _parse_entries(text: str) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def check_signed_type(a: Sequence[int]) -> tuple[int, ...]:
+    """``a`` as a tuple, once no entry is zero and consecutive entries have
+    opposite signs; raises :class:`ParseError` otherwise."""
+    a = tuple(a)
+    for e in a:
+        if e == 0:
+            raise ParseError("zero entries are not allowed in a signed type")
+    for x, y in zip(a, a[1:]):
+        if x * y > 0:
+            raise ParseError(f"signs must alternate: {x} followed by {y}")
+    return a
+
+
 def parse_composition(text: str) -> tuple[int, ...]:
     """Parse ``"1,2,1"`` into a composition.  Rejects zeros and negatives."""
     entries = _parse_entries(text)
@@ -207,14 +165,7 @@ def parse_signed_type(text: str) -> tuple[int, ...]:
     Entries may carry an optional leading ``+``.  Zeros are rejected, and
     consecutive entries must have opposite signs.
     """
-    entries = _parse_entries(text)
-    for e in entries:
-        if e == 0:
-            raise ParseError("zero entries are not allowed in a signed type")
-    for x, y in zip(entries, entries[1:]):
-        if x * y > 0:
-            raise ParseError(f"signs must alternate: {x} followed by {y}")
-    return entries
+    return check_signed_type(_parse_entries(text))
 
 
 def format_entries(a: Sequence[int]) -> str:

@@ -26,10 +26,12 @@ from pathcensus.engine import MemoTable, f_two_block, f_value, f_walk
 from pathcensus.errors import (
     OrderTooLarge,
     OutOfRange,
+    ParseError,
     PathCensusError,
     ScanTooLarge,
     TypeOrderMismatch,
 )
+from pathcensus.oracle import count_type, make_transitive
 from pathcensus.types import (
     canonical_key,
     compositions,
@@ -50,6 +52,19 @@ def test_tt_count_examples():
 def test_tt_count_rejects_order_mismatch():
     with pytest.raises(TypeOrderMismatch):
         tt_count(4, (1, -1))
+
+
+@pytest.mark.parametrize(
+    "count",
+    [lambda a: tt_count(3, a), lambda a: count_type(make_transitive(3), a)],
+    ids=["tt_count", "count_type"],
+)
+@pytest.mark.parametrize("bad", [(1, 1), (-1, -1), (2, 0), (1, 0, -1)])
+def test_malformed_signed_types_are_refused_by_both_counts(count, bad):
+    # each tuple has total 2, so order 3 fits; a zero or a repeated sign
+    # describes no path type and must not be counted as one
+    with pytest.raises(ParseError):
+        count(bad)
 
 
 def test_tt_count_negation_invariance():
@@ -272,7 +287,9 @@ def test_conjecture_witness_branches(monkeypatch, changes, flags, witnesses):
     )
     # the sorted-rows reference scans the same changed values
     monkeypatch.setattr(
-        analysis, "f_table", lambda p: [(c, v) for c, v in values.items() if sum(c) == p]
+        analysis,
+        "f_walk",
+        lambda p, start: ((c, v) for c, v in values.items() if sum(c) == p),
     )
     v = check_conjecture(5)
     assert v == sorted_rows_verdict(5)

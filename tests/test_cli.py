@@ -413,6 +413,11 @@ def test_every_too_large_error_hints_at_force(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert re.fullmatch(r"error: [^\n]* \(pass --force to go further\)\n", err)
+    if argv[0] == "conjecture":
+        assert err == (
+            "error: conjecture check of p=19 exceeds the limit 18 "
+            "(pass --force to go further)\n"
+        )
 
 
 SIZE_FLAGS = {
