@@ -6,13 +6,13 @@ halved when the type is symmetric (a symmetric path is met once per
 enumeration direction).  On top of that sit a full scan of all compositions
 of a total with ranking, the observation checker for the all-ones maximum,
 exhaustive inequality suites, and a differential check against the
-vertex-order census.  Results are plain dataclasses holding exact ints;
-rendering them as text, csv or JSON is the CLI's job alone.
+vertex-order census.  Results are immutable named tuples holding exact
+ints; rendering them as text, csv or JSON is the CLI's job alone.
 """
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb, factorial
+from typing import NamedTuple
 
 from .engine import MemoTable, f_two_block, f_value, f_walk
 from .errors import OrderTooLarge, OutOfRange, ScanTooLarge, TheoremViolation, TypeOrderMismatch
@@ -76,8 +76,7 @@ def tt_count(n: int, a, memo: MemoTable | None = None) -> int:
 # scan and ranking
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     """Every composition of ``p`` with its path-function value.
 
     ``rows`` ascend by value (ties broken by composition); ``max_row`` is the
@@ -112,8 +111,7 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
 # the all-ones maximum observation
 
 
-@dataclass
-class ConjectureVerdict:
+class ConjectureVerdict(NamedTuple):
     """Outcome of the maximality observation at one total ``p``.
 
     ``all_ones_is_max``: the all-ones composition is the unique maximum.
@@ -127,7 +125,7 @@ class ConjectureVerdict:
     all_ones_is_max: bool
     runner_up_is_1_2_ones: bool
     runner_up_exceeds_half_max: bool
-    witnesses: list[tuple[int, ...]] = field(default_factory=list)
+    witnesses: list[tuple[int, ...]]
 
     @property
     def ok(self) -> bool:
@@ -249,19 +247,17 @@ def _verdict(p, ones_value, runner_value, attainers, beating) -> ConjectureVerdi
 # inequality families
 
 
-@dataclass
-class FamilyResult:
+class FamilyResult(NamedTuple):
     name: str
     checked: int
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class PropertySuiteReport:
+class PropertySuiteReport(NamedTuple):
     limit: int
     families: list[FamilyResult]
 
@@ -276,43 +272,53 @@ class PropertySuiteReport:
         raise KeyError(name)
 
 
-def _check_two_block_value(limit, F, fam):
+# Each _check_* returns (instances checked, failure descriptions).
+
+
+def _check_two_block_value(limit, F):
+    checked, failures = 0, []
     for q in range(2, limit + 1):
         for m in range(1, q):
             n = q - m
-            fam.checked += 1
+            checked += 1
             if F((m, n)) != f_two_block(m, n):
-                fam.failures.append(f"F({m},{n}) != C({q},{m})")
+                failures.append(f"F({m},{n}) != C({q},{m})")
+    return checked, failures
 
 
-def _check_two_block_order(limit, F, fam):
+def _check_two_block_order(limit, F):
+    checked, failures = 0, []
     for q in range(2, limit + 1):
         for m in range(1, q):
             n = q - m
             for mp in range(1, q):
                 np_ = q - mp
-                fam.checked += 1
+                checked += 1
                 got = F((m, n)) < F((mp, np_))
                 want = m * n < mp * np_
                 if got != want:
-                    fam.failures.append(f"F({m},{n}) vs F({mp},{np_})")
+                    failures.append(f"F({m},{n}) vs F({mp},{np_})")
+    return checked, failures
 
 
-def _check_block_split(limit, F, fam):
+def _check_block_split(limit, F):
     # two blocks (a, t) against every three-block refinement (a, m, n), t = m+n
+    checked, failures = 0, []
     for total in range(4, limit + 1):
         for a in range(1, total - 1):
             t = total - a
             for m in range(1, t):
                 n = t - m
-                fam.checked += 1
+                checked += 1
                 if not F((a, t)) < F((a, m, n)):
-                    fam.failures.append(f"F({a},{t}) !< F({a},{m},{n})")
+                    failures.append(f"F({a},{t}) !< F({a},{m},{n})")
+    return checked, failures
 
 
-def _check_three_block_prefix(limit, F, fam):
+def _check_three_block_prefix(limit, F):
     # F(a,m,n) < F(a,m',n')  iff  mn < m'n', or the primed pair is the
     # swap (n, m) with m < n (equal products and tuples otherwise tie)
+    checked, failures = 0, []
     for total in range(3, limit + 1):
         for a in range(1, total - 1):
             r = total - a
@@ -320,16 +326,16 @@ def _check_three_block_prefix(limit, F, fam):
                 n = r - m
                 for mp in range(1, r):
                     np_ = r - mp
-                    fam.checked += 1
+                    checked += 1
                     got = F((a, m, n)) < F((a, mp, np_))
                     want = m * n < mp * np_ or ((mp, np_) == (n, m) and m < n)
                     if got != want:
-                        fam.failures.append(
-                            f"F({a},{m},{n}) vs F({a},{mp},{np_})"
-                        )
+                        failures.append(f"F({a},{m},{n}) vs F({a},{mp},{np_})")
+    return checked, failures
 
 
-def _check_three_block_middle(limit, F, fam):
+def _check_three_block_middle(limit, F):
+    checked, failures = 0, []
     for total in range(3, limit + 1):
         for a in range(1, total - 1):
             r = total - a
@@ -337,16 +343,16 @@ def _check_three_block_middle(limit, F, fam):
                 n = r - m
                 for mp in range(1, r):
                     np_ = r - mp
-                    fam.checked += 1
+                    checked += 1
                     got = F((m, a, n)) < F((mp, a, np_))
                     want = m * n < mp * np_
                     if got != want:
-                        fam.failures.append(
-                            f"F({m},{a},{n}) vs F({mp},{a},{np_})"
-                        )
+                        failures.append(f"F({m},{a},{n}) vs F({mp},{a},{np_})")
+    return checked, failures
 
 
-def _check_four_block_swap(limit, F, fam):
+def _check_four_block_swap(limit, F):
+    checked, failures = 0, []
     for total in range(6, limit + 1):
         for m in range(1, total - 2):
             for n in range(m + 1, total - 2):
@@ -354,11 +360,10 @@ def _check_four_block_swap(limit, F, fam):
                     b = total - m - n - a
                     if b <= a:
                         continue
-                    fam.checked += 1
+                    checked += 1
                     if not F((m, a, b, n)) > F((m, b, a, n)):
-                        fam.failures.append(
-                            f"F({m},{a},{b},{n}) !> F({m},{b},{a},{n})"
-                        )
+                        failures.append(f"F({m},{a},{b},{n}) !> F({m},{b},{a},{n})")
+    return checked, failures
 
 
 # exact relations quoted for the refuted general claims; each line is
@@ -390,14 +395,15 @@ _PRINTED_RELATIONS = [
 ]
 
 
-def _check_printed_relations(limit, F, fam):
+def _check_printed_relations(limit, F):
+    failures = []
     for left, rel, right in _PRINTED_RELATIONS:
         lhs = F(left)
         rhs = F(right) if isinstance(right, tuple) else right
-        fam.checked += 1
         holds = lhs == rhs if rel == "==" else lhs > rhs
         if not holds:
-            fam.failures.append(f"F{left} {rel} {right} is false ({lhs} vs {rhs})")
+            failures.append(f"F{left} {rel} {right} is false ({lhs} vs {rhs})")
+    return len(_PRINTED_RELATIONS), failures
 
 
 def run_property_suite(limit: int = 16, memo: MemoTable | None = None) -> PropertySuiteReport:
@@ -421,11 +427,7 @@ def run_property_suite(limit: int = 16, memo: MemoTable | None = None) -> Proper
         ("four_block_swap", _check_four_block_swap),
         ("printed_relations", _check_printed_relations),
     ]
-    families = []
-    for name, fn in checks:
-        fam = FamilyResult(name=name, checked=0)
-        fn(limit, F, fam)
-        families.append(fam)
+    families = [FamilyResult(name, *fn(limit, F)) for name, fn in checks]
     return PropertySuiteReport(limit=limit, families=families)
 
 
@@ -433,8 +435,7 @@ def run_property_suite(limit: int = 16, memo: MemoTable | None = None) -> Proper
 # differential verification against the brute-force oracle
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     n: int
     type_key: str
     oracle: int
@@ -442,8 +443,7 @@ class Discrepancy:
     note: str = ""
 
 
-@dataclass
-class OracleDiffReport:
+class OracleDiffReport(NamedTuple):
     kind: str
     max_n: int
     seed: int | None

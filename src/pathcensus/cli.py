@@ -1,20 +1,24 @@
 """Command-line front end.
 
 Subcommands: eval, census, scan, conjecture, verify, bench.  This module is
-the only one that knows output formats: the library returns dataclasses and
-exact ints, and each command renders them here as text, csv or JSON, with
-every count a decimal string.  Primary results go to stdout; one
-``took <seconds>s`` line goes to stderr so stdout stays pipe-safe.  Exit
-codes: 0 clean, 1 mathematical finding (oracle discrepancy or observation
-violation), 2 usage error.  The library decides what is a usage error: each
-``PathCensusError`` becomes one ``error:`` line and exit 2.  ``--force``
-lifts the library's size limits.
+the only one that knows output formats: the library returns named tuples
+and exact ints, and each command renders them here as text, csv or JSON,
+with every count a decimal string.  Primary results go to stdout, written
+``BLOCK_LINES`` lines per write; one ``took <seconds>s`` line goes to stderr
+so stdout stays pipe-safe.  A reader that closes the pipe early (``| head``)
+ends the output, not the run: the rest of stdout goes to the null device and
+the exit code is the command's own, with no traceback.  Exit codes: 0 clean,
+1 mathematical finding (oracle discrepancy or observation violation), 2 usage
+error.  The library decides what is a usage error: each ``PathCensusError``
+becomes one ``error:`` line and exit 2.  ``--force`` lifts the library's size
+limits.
 """
 
 import argparse
-import json
+import os
 import sys
 import time
+from itertools import islice
 
 from .analysis import (
     DEFAULT_SCAN_LIMIT,
@@ -33,6 +37,10 @@ EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 FORMATS = ("text", "json", "csv")
+
+# lines per stdout write: one syscall per block, not per line, and a bounded
+# buffer however many rows a scan renders
+BLOCK_LINES = 4096
 
 
 def positive_int(text: str) -> int:
@@ -136,15 +144,22 @@ def build_parser() -> argparse.ArgumentParser:
 # Every cmd_* computes its result and returns (exit code, renderers):
 # renderers maps each of FORMATS to a function that yields the output lines,
 # so only the requested format is ever rendered.  main() alone times the
-# run, prints and reports.
+# run, writes and reports.
 
 
 def _json(data) -> str:
+    import json  # only a JSON render pays for the module
+
     return json.dumps(data, indent=2)
 
 
 def _row(comp, value) -> dict:
     return {"composition": format_entries(comp), "value": str(value)}
+
+
+# _json's layout of one _row inside a top-level list; a row holds only digits
+# and commas, so nothing in it needs escaping
+_JSON_ROW = '    {\n      "composition": "%s",\n      "value": "%s"\n    }'
 
 
 def _limit(args) -> dict:
@@ -193,19 +208,21 @@ def cmd_scan(args):
             ordered = sorted(ordered, key=lambda r: r[0])
         return (f"{format_entries(c)}{sep}{v}" for c, v in ordered)
 
-    def data():
-        return {
-            "report": "scan",
-            "p": report.p,
-            "rows": [_row(*r) for r in report.rows],
-            "max": _row(*report.max_row),
-            "runner_up": _row(*report.runner_up_row),
-        }
+    def json_lines():
+        # the text of _json({"report", "p", "rows", "max", "runner_up"}),
+        # with the rows filled into _JSON_ROW instead of passing the encoder
+        rows = report.rows
+        yield _json({"report": "scan", "p": report.p})[:-2] + ',\n  "rows": ['
+        for c, v in islice(rows, len(rows) - 1):
+            yield _JSON_ROW % (format_entries(c), v) + ","
+        yield _JSON_ROW % (format_entries(rows[-1][0]), rows[-1][1])
+        tail = {"max": _row(*report.max_row), "runner_up": _row(*report.runner_up_row)}
+        yield "  ]," + _json(tail)[1:]
 
     return EXIT_OK, {
         "text": lambda: rows(" => "),
         "csv": lambda: rows(";"),
-        "json": lambda: [_json(data())],
+        "json": json_lines,
     }
 
 
@@ -325,10 +342,25 @@ def main(argv=None) -> int:
             exc = f"{exc} (pass --force to go further)"
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    for line in renderers[args.format]():
-        print(line)
+    try:
+        _write(renderers[args.format]())
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device, so that the
+        # flush at exit finds nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     print(f"took {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
+
+
+def _write(lines) -> None:
+    """Write each line and a newline to stdout, BLOCK_LINES lines at a time."""
+    lines = iter(lines)
+    while block := list(islice(lines, BLOCK_LINES)):
+        block.append("")
+        sys.stdout.write("\n".join(block))
+    sys.stdout.flush()
 
 
 if __name__ == "__main__":

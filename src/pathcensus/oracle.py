@@ -15,8 +15,8 @@ two routes to the same counts check each other.
 """
 
 import random
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .errors import (
     InvalidOrder,
@@ -44,8 +44,7 @@ __all__ = [
 CENSUS_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(NamedTuple):
     """Complete orientation of K_n; ``wins[i][j]`` means arc i -> j.
 
     The matrix is (n+1) x (n+1) with row/column 0 unused, so vertex labels
@@ -131,8 +130,7 @@ def complement(t: Tournament) -> Tournament:
     return Tournament(t.n, _freeze(matrix))
 
 
-@dataclass(frozen=True)
-class TypeCensus:
+class TypeCensus(NamedTuple):
     """Per-type path tally of one tournament, keyed by canonical type."""
 
     order: int

@@ -202,6 +202,48 @@ def test_scan_json_roundtrips(capsys):
     assert scan_row(data["runner_up"]) == report.runner_up_row
 
 
+def scan_reference(report, fmt, sort):
+    # what one print per line, or one json.dumps of the row dicts, writes
+    def entries(comp):
+        return ",".join(str(e) for e in comp)
+
+    def row(comp, value):
+        return {"composition": entries(comp), "value": str(value)}
+
+    if fmt == "json":
+        data = {
+            "report": "scan",
+            "p": report.p,
+            "rows": [row(*r) for r in report.rows],
+            "max": row(*report.max_row),
+            "runner_up": row(*report.runner_up_row),
+        }
+        return json.dumps(data, indent=2) + "\n"
+    rows = report.rows if sort == "value" else sorted(report.rows, key=lambda r: r[0])
+    sep = " => " if fmt == "text" else ";"
+    return "".join(f"{entries(c)}{sep}{v}\n" for c, v in rows)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_scan_output_equals_the_reference_render(capsys, monkeypatch, p):
+    report = scan(p)
+    for block in (cli.BLOCK_LINES, 1, 3):
+        monkeypatch.setattr(cli, "BLOCK_LINES", block)
+        for fmt in ("text", "csv", "json"):
+            for sort in ("value", "composition"):
+                code, out, _ = run(capsys, "scan", "-p", str(p), "--format", fmt, "--sort", sort)
+                assert (code, out) == (0, scan_reference(report, fmt, sort)), (block, fmt, sort)
+
+
+def test_big_value_scan_json_equals_the_reference_render(capsys, monkeypatch):
+    small, big = ((1, 79), 80), ((40, 40), BIG)
+    for rows in ([small, big], [big]):
+        report = ScanReport(p=80, rows=rows, max_row=big, runner_up_row=small)
+        monkeypatch.setattr(cli, "scan", lambda *a, **k: report)
+        code, out, _ = run(capsys, "scan", "-p", "5", "--format", "json")
+        assert (code, out) == (0, scan_reference(report, "json", "value"))
+
+
 def test_scan_over_limit_needs_force(capsys):
     code, _, err = run(capsys, "scan", "-p", "19")
     assert code == 2
@@ -505,6 +547,64 @@ def test_module_entry_point_in_a_real_process():
     refused = run_process("scan", "-p", "19")
     assert (refused.returncode, refused.stdout) == (2, "")
     assert "Traceback" not in refused.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_leaving_early_ends_the_output_not_the_run(unbuffered):
+    # `scan -p 16 | head -1`: ≈1 MB of rows, far past any pipe's buffer
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pathcensus.cli", "scan", "-p", "16"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"16 => 1\n"
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == 0
+    assert "Traceback" not in err
+    assert TOOK.fullmatch(err)
+
+
+def test_the_cli_imports_json_only_to_render_json():
+    # a fresh interpreter: pytest itself has imported both modules already
+    script = """
+import contextlib, io, sys
+bare = set(sys.modules)
+from pathcensus import cli
+def loaded():
+    return sorted({"dataclasses", "json"} & (set(sys.modules) - bare))
+print(loaded())
+for argv in (["eval", "1,2"], ["census", "-n", "4", "1,-2"], ["scan", "-p", "5", "--format", "csv"],
+             ["conjecture", "--max-p", "5"], ["verify", "--max-n", "5", "--kind", "nearly"],
+             ["bench", "-p", "5"], ["scan", "-p", "19"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(["scan", "-p", "5", "--format", "json"])
+print(loaded())
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]", "['json']"]
 
 
 # parser ----------------------------------------------------------------------------------
