@@ -12,6 +12,7 @@ ints; rendering them as text, csv or JSON is the CLI's job alone.
 
 from itertools import accumulate
 from math import comb, factorial
+from operator import itemgetter
 from typing import NamedTuple
 
 from .engine import MemoTable, f_two_block, f_value, f_walk
@@ -100,7 +101,7 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
         raise OutOfRange(f"scan needs p >= 2, got {p}")
     if limit is not None and p > limit:
         raise ScanTooLarge(f"scan of p={p} exceeds the limit {limit}")
-    rows = sorted(f_walk(p, start=p), key=lambda r: (r[1], r[0]))
+    rows = sorted(f_walk(p, start=p), key=itemgetter(1, 0))
     # rows ascend by (value, composition): the runner-up is the last row
     # unless that one is the all-ones composition
     runner_up = rows[-2] if rows[-1][0] == (1,) * p else rows[-1]
@@ -203,8 +204,9 @@ def check_conjectures(
 
 def _top_compositions(p, floor, best):
     # (composition, value) for every composition of p whose value reaches
-    # floor, and some below it: f_walk's step, but a node of total k < p
-    # expands only if its completions' bound reaches floor (ties survive)
+    # floor, and some below it: a depth-first rank DP over the up/down words,
+    # where a node of total k < p expands only if its completions' bound
+    # reaches floor (ties survive)
     stack = [((1,), [0, 1])]
     while stack:
         comp, x = stack.pop()

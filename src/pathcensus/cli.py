@@ -201,12 +201,14 @@ def cmd_census(args):
 
 def cmd_scan(args):
     report = scan(args.p, **_limit(args))
+    # the text of each block length, made once per report, not once per block
+    entry = [str(i) for i in range(report.p + 1)].__getitem__
 
     def rows(sep):
         ordered = report.rows
         if args.sort == "composition":
-            ordered = sorted(ordered, key=lambda r: r[0])
-        return (f"{format_entries(c)}{sep}{v}" for c, v in ordered)
+            ordered = sorted(ordered)
+        return (f"{','.join(map(entry, c))}{sep}{v}" for c, v in ordered)
 
     def json_lines():
         # the text of _json({"report", "p", "rows", "max", "runner_up"}),
@@ -214,8 +216,8 @@ def cmd_scan(args):
         rows = report.rows
         yield _json({"report": "scan", "p": report.p})[:-2] + ',\n  "rows": ['
         for c, v in islice(rows, len(rows) - 1):
-            yield _JSON_ROW % (format_entries(c), v) + ","
-        yield _JSON_ROW % (format_entries(rows[-1][0]), rows[-1][1])
+            yield _JSON_ROW % (",".join(map(entry, c)), v) + ","
+        yield _JSON_ROW % (",".join(map(entry, rows[-1][0])), rows[-1][1])
         tail = {"max": _row(*report.max_row), "runner_up": _row(*report.runner_up_row)}
         yield "  ]," + _json(tail)[1:]
 

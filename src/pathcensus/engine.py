@@ -13,12 +13,14 @@ Bruijn ("Permutations with given ups and downs"): one vector entry per rank
 of the last element placed, one prefix-sum pass per step, O(p^2) additions
 at most.  The two end blocks cost no passes: the shorter is built in closed
 form, and the longer is summed in one go by the hockey-stick identity, so a
-two-block type is that sum's one binomial term.  :func:`f_walk` walks every
-up/down word of length at most ``p`` once, sharing the DP vector of each
-common prefix: a word of length k has run lengths of total k, so one walk
-values every composition of every total up to ``p``.  :func:`f_recurrence`
-evaluates the defining recurrence on an explicit stack; it is exponential
-and kept as the independent reference the tests compare the DP against.
+two-block type is that sum's one binomial term.  :func:`f_walk` runs the
+same DP on every up/down word of length at most ``p`` at once, the counts of
+all words packed into fixed-width fields of one integer per rank: a word of
+length k has run lengths of total k, so one level-by-level pass, O(p^2)
+big-integer steps, values every composition of every total up to ``p``.
+:func:`f_recurrence` evaluates the defining recurrence on an explicit stack;
+it is exponential and kept as the independent reference the tests compare
+the DP against.
 Results are cached in memory only, under the key ``min(c, reversed(c))``:
 the function is invariant under reversal, so one stored entry answers both
 orientations.
@@ -27,7 +29,7 @@ orientations.
 import sys
 from collections.abc import Iterator
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 
 from .errors import OutOfRange, UndefinedType
 from .types import derive_children
@@ -113,22 +115,67 @@ def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(composition, value)`` for every composition of a total in
     ``start..p``, each exactly once: ``2**p - 1`` of them by default.
 
-    A depth-first walk over the up/down words that start with an ascent:
-    each step either extends the last block or opens a new one, and both
-    children reuse the DP vector of their parent.  A composition comes
-    before its extensions; the order is otherwise the walk's, not sorted.
-    Live state is the stack of at most ``p`` pending DP vectors.
+    The rank DP run on every up/down word at once, one word length k per
+    level: entry ``i`` of the level's vector packs, one fixed-width field per
+    word that starts with an ascent, the count of permutations of
+    ``1..k+1`` with that word whose last element has rank ``i``.  Field
+    ``w`` is the word whose letter ``j >= 1`` ascends when bit ``j - 1`` of
+    ``w`` is set, so a shift, an add and a subtraction per entry extend
+    every word by both letters, and the vector's sum holds every value of
+    total k.  Rows come in ascending totals, and in word order within a
+    total, so a composition comes before its extensions.  Live state is one
+    level: its vector of k+1 packed integers and its compositions.
     """
     if p < 1:
         raise OutOfRange(f"total must be positive, got {p}")
-    stack = [((1,), [0, 1])]
-    while stack:
-        comp, x = stack.pop()
-        if len(x) > start:
-            yield comp, sum(x)
-        if len(x) <= p:
-            stack.append((comp[:-1] + (comp[-1] + 1,), [0, *accumulate(x)]))
-            stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
+    # a field never carries, as no count exceeds (p+1)!; at least 8 bytes,
+    # so up to p = 19 a level's fields decode in one cast
+    size = max(8, (factorial(p + 1).bit_length() + 7) // 8)
+    x, comps, total = [0, 1], [(1,)], 1
+    for k in range(1, p):
+        # x[i] becomes the sum of x[:i+1]; the last entry is the level's sum
+        for i in range(1, k + 1):
+            x[i] += x[i - 1]
+        total = x[-1]
+        if k >= start:
+            yield from zip(comps, _fields(total, k, size))
+        # rank i of the next level: letter k ascends (into the upper half of
+        # the fields) from the u = sum(x[:i]) that end below i, and descends
+        # from the total - u that end at or above it; the last level is only
+        # summed, and the sum of its k+2 values of u is sum(x)
+        shift = (8 * size) << (k - 1)
+        if k + 1 < p:
+            x = [total, *[(u << shift) + total - u for u in x]]
+        else:
+            u = sum(x)
+            total = (u << shift) + (k + 2) * total - u
+            del x, u  # the last level's rows need none of the DP
+        comps = _next_words(comps)
+    if p >= start:
+        yield from zip(comps, _fields(total, p, size))
+
+
+def _fields(packed: int, k: int, size: int) -> list[int]:
+    # the 2**(k-1) fields of size bytes each, lowest first
+    data = packed.to_bytes(size << (k - 1), "little")
+    if size == 8 and sys.byteorder == "little":
+        return memoryview(data).cast("Q").tolist()
+    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def _next_words(comps: list) -> list:
+    # the compositions of the words one letter longer: the new letter
+    # descends in the lower half and ascends in the upper, and extends the
+    # last block when it repeats the last letter, which descends in the
+    # lower half of comps and ascends in the upper (in all of a lone (1,))
+    half = len(comps) // 2
+    down, up = comps[:half], comps[half:]
+    return [
+        *[c[:-1] + (c[-1] + 1,) for c in down],
+        *[c + (1,) for c in up],
+        *[c + (1,) for c in down],
+        *[c[:-1] + (c[-1] + 1,) for c in up],
+    ]
 
 
 def f_recurrence(c, memo: MemoTable | None = None) -> int:

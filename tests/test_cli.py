@@ -235,6 +235,14 @@ def test_scan_output_equals_the_reference_render(capsys, monkeypatch, p):
                 assert (code, out) == (0, scan_reference(report, fmt, sort)), (block, fmt, sort)
 
 
+def test_scan_output_at_p16_equals_the_reference_render(capsys):
+    # the largest scan the benchmark renders
+    report = scan(16)
+    for fmt, sort in [("csv", "value"), ("json", "value"), ("text", "composition")]:
+        code, out, _ = run(capsys, "scan", "-p", "16", "--format", fmt, "--sort", sort)
+        assert (code, out) == (0, scan_reference(report, fmt, sort)), (fmt, sort)
+
+
 def test_big_value_scan_json_equals_the_reference_render(capsys, monkeypatch):
     small, big = ((1, 79), 80), ((40, 40), BIG)
     for rows in ([small, big], [big]):
