@@ -5,9 +5,11 @@ transitive tournament is the path-function value of its block lengths,
 halved when the type is symmetric (a symmetric path is met once per
 enumeration direction).  On top of that sit a full scan of all compositions
 of a total with ranking, the observation checker for the all-ones maximum,
-exhaustive inequality suites, and a differential check against the
-vertex-order census.  Results are immutable named tuples holding exact
-ints; rendering them as text, csv or JSON is the CLI's job alone.
+the property suite (seven families that each list their instances, exact
+values or strict orders, checked by one loop up to a total), and a
+differential check against the vertex-order census.  Results are immutable
+named tuples holding exact ints; rendering them as text, csv or JSON is the
+CLI's job alone.
 """
 
 from itertools import accumulate
@@ -101,7 +103,7 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
         raise OutOfRange(f"scan needs p >= 2, got {p}")
     if limit is not None and p > limit:
         raise ScanTooLarge(f"scan of p={p} exceeds the limit {limit}")
-    rows = sorted(f_walk(p, start=p), key=itemgetter(1, 0))
+    rows = sorted(f_walk(p), key=itemgetter(1, 0))
     # rows ascend by (value, composition): the runner-up is the last row
     # unless that one is the all-ones composition
     runner_up = rows[-2] if rows[-1][0] == (1,) * p else rows[-1]
@@ -233,8 +235,7 @@ def _verdict(p, ones_value, runner_value, attainers, beating) -> ConjectureVerdi
         witnesses.extend(c for c in attainers if c not in expected)
     if not exceeds_half:
         witnesses.extend(attainers)
-    seen = set()
-    witnesses = [c for c in witnesses if not (c in seen or seen.add(c))]
+    witnesses = list(dict.fromkeys(witnesses))
 
     return ConjectureVerdict(
         p=p,
@@ -274,162 +275,122 @@ class PropertySuiteReport(NamedTuple):
         raise KeyError(name)
 
 
-# Each _check_* returns (instances checked, failure descriptions).
+# A family yields its instances up to a total: (c, value) claims that
+# F(c) == value, and (left, right, want) that F(left) < F(right) is want.
 
 
-def _check_two_block_value(limit, F):
-    checked, failures = 0, []
+def _two_block_value(limit):
     for q in range(2, limit + 1):
         for m in range(1, q):
-            n = q - m
-            checked += 1
-            if F((m, n)) != f_two_block(m, n):
-                failures.append(f"F({m},{n}) != C({q},{m})")
-    return checked, failures
+            yield (m, q - m), f_two_block(m, q - m)
 
 
-def _check_two_block_order(limit, F):
-    checked, failures = 0, []
+def _two_block_order(limit):
     for q in range(2, limit + 1):
         for m in range(1, q):
-            n = q - m
             for mp in range(1, q):
-                np_ = q - mp
-                checked += 1
-                got = F((m, n)) < F((mp, np_))
-                want = m * n < mp * np_
-                if got != want:
-                    failures.append(f"F({m},{n}) vs F({mp},{np_})")
-    return checked, failures
+                yield (m, q - m), (mp, q - mp), m * (q - m) < mp * (q - mp)
 
 
-def _check_block_split(limit, F):
-    # two blocks (a, t) against every three-block refinement (a, m, n), t = m+n
-    checked, failures = 0, []
+def _block_split(limit):
     for total in range(4, limit + 1):
         for a in range(1, total - 1):
             t = total - a
             for m in range(1, t):
-                n = t - m
-                checked += 1
-                if not F((a, t)) < F((a, m, n)):
-                    failures.append(f"F({a},{t}) !< F({a},{m},{n})")
-    return checked, failures
+                yield (a, t), (a, m, t - m), True
 
 
-def _check_three_block_prefix(limit, F):
-    # F(a,m,n) < F(a,m',n')  iff  mn < m'n', or the primed pair is the
-    # swap (n, m) with m < n (equal products and tuples otherwise tie)
-    checked, failures = 0, []
+def _three_block_pairs(limit):
+    # (a, m, n, m', n') for every a + m + n = a + m' + n' up to limit
     for total in range(3, limit + 1):
         for a in range(1, total - 1):
             r = total - a
             for m in range(1, r):
-                n = r - m
                 for mp in range(1, r):
-                    np_ = r - mp
-                    checked += 1
-                    got = F((a, m, n)) < F((a, mp, np_))
-                    want = m * n < mp * np_ or ((mp, np_) == (n, m) and m < n)
-                    if got != want:
-                        failures.append(f"F({a},{m},{n}) vs F({a},{mp},{np_})")
-    return checked, failures
+                    yield a, m, r - m, mp, r - mp
 
 
-def _check_three_block_middle(limit, F):
-    checked, failures = 0, []
-    for total in range(3, limit + 1):
-        for a in range(1, total - 1):
-            r = total - a
-            for m in range(1, r):
-                n = r - m
-                for mp in range(1, r):
-                    np_ = r - mp
-                    checked += 1
-                    got = F((m, a, n)) < F((mp, a, np_))
-                    want = m * n < mp * np_
-                    if got != want:
-                        failures.append(f"F({m},{a},{n}) vs F({mp},{a},{np_})")
-    return checked, failures
+def _three_block_prefix(limit):
+    for a, m, n, mp, np_ in _three_block_pairs(limit):
+        want = m * n < mp * np_ or ((mp, np_) == (n, m) and m < n)
+        yield (a, m, n), (a, mp, np_), want
 
 
-def _check_four_block_swap(limit, F):
-    checked, failures = 0, []
+def _three_block_middle(limit):
+    for a, m, n, mp, np_ in _three_block_pairs(limit):
+        yield (m, a, n), (mp, a, np_), m * n < mp * np_
+
+
+def _four_block_swap(limit):
     for total in range(6, limit + 1):
         for m in range(1, total - 2):
             for n in range(m + 1, total - 2):
-                for a in range(1, total - m - n):
-                    b = total - m - n - a
-                    if b <= a:
-                        continue
-                    checked += 1
-                    if not F((m, a, b, n)) > F((m, b, a, n)):
-                        failures.append(f"F({m},{a},{b},{n}) !> F({m},{b},{a},{n})")
-    return checked, failures
+                s = total - m - n  # a + b, with a < b
+                for a in range(1, (s + 1) // 2):
+                    yield (m, s - a, a, n), (m, a, s - a, n), True
 
 
-# exact relations quoted for the refuted general claims; each line is
-# (composition, relation, composition-or-value)
+# exact relations quoted for the refuted general claims
 _PRINTED_RELATIONS = [
-    ((3, 3), "==", 20),
-    ((1, 1, 4), "==", 20),
-    ((3, 4), "==", 35),
-    ((1, 1, 5), "==", 27),
-    ((3, 4), ">", (1, 1, 5)),
-    ((1, 2, 4), "==", 85),
-    ((3, 1, 3), "==", 69),
-    ((1, 2, 4), ">", (3, 1, 3)),
-    ((2, 11, 5), "==", 637924),
-    ((11, 3, 4), "==", 631787),
-    ((2, 11, 5), ">", (11, 3, 4)),
-    ((2, 12, 5), "==", 1015988),
-    ((12, 3, 4), "==", 984503),
-    ((2, 12, 5), ">", (12, 3, 4)),
-    ((6, 7, 3), "==", 835549),
-    ((4, 4, 8), "==", 614823),
-    ((6, 7, 3), ">", (4, 4, 8)),
-    ((1, 3, 1), "==", 19),
-    ((2, 1, 2), "==", 19),
-    ((1, 2, 3, 1), "==", 315),
-    ((2, 1, 2, 2), "==", 315),
-    ((2, 4, 2), "==", 379),
-    ((3, 2, 3), "==", 379),
+    ((3, 3), 20), ((1, 1, 4), 20),
+    ((3, 4), 35), ((1, 1, 5), 27), ((1, 1, 5), (3, 4), True),
+    ((1, 2, 4), 85), ((3, 1, 3), 69), ((3, 1, 3), (1, 2, 4), True),
+    ((2, 11, 5), 637924), ((11, 3, 4), 631787), ((11, 3, 4), (2, 11, 5), True),
+    ((2, 12, 5), 1015988), ((12, 3, 4), 984503), ((12, 3, 4), (2, 12, 5), True),
+    ((6, 7, 3), 835549), ((4, 4, 8), 614823), ((4, 4, 8), (6, 7, 3), True),
+    ((1, 3, 1), 19), ((2, 1, 2), 19),
+    ((1, 2, 3, 1), 315), ((2, 1, 2, 2), 315),
+    ((2, 4, 2), 379), ((3, 2, 3), 379),
 ]
 
 
-def _check_printed_relations(limit, F):
-    failures = []
-    for left, rel, right in _PRINTED_RELATIONS:
-        lhs = F(left)
-        rhs = F(right) if isinstance(right, tuple) else right
-        holds = lhs == rhs if rel == "==" else lhs > rhs
-        if not holds:
-            failures.append(f"F{left} {rel} {right} is false ({lhs} vs {rhs})")
-    return len(_PRINTED_RELATIONS), failures
+def _check(instances, memo) -> tuple[int, list[str]]:
+    # (instances checked, failure descriptions)
+    checked, failures = 0, []
+    for instance in instances:
+        checked += 1
+        if len(instance) == 2:
+            comp, value = instance
+            got = f_value(comp, memo)
+            if got != value:
+                failures.append(f"F{comp} == {value} is false ({got})")
+        else:
+            left, right, want = instance
+            if (f_value(left, memo) < f_value(right, memo)) != want:
+                failures.append(f"F{left} < F{right} is {not want}")
+    return checked, failures
 
 
-def run_property_suite(limit: int = 16, memo: MemoTable | None = None) -> PropertySuiteReport:
+def run_property_suite(limit: int = 16) -> PropertySuiteReport:
     """Exhaustively check the known inequality families up to ``limit`` total.
 
+    Each family claims, for every instance of total at most ``limit``
+    (compared compositions share their total):
+
+    - ``two_block_value``: F(m,n) = C(m+n, m);
+    - ``two_block_order``: F(m,n) < F(m′,n′) iff mn < m′n′;
+    - ``block_split``: F(a, m+n) < F(a,m,n), splitting a block raises F;
+    - ``three_block_prefix``: F(a,m,n) < F(a,m′,n′) iff mn < m′n′, or
+      (m′,n′) = (n,m) with m < n;
+    - ``three_block_middle``: F(m,a,n) < F(m′,a,n′) iff mn < m′n′;
+    - ``four_block_swap``: F(m,a,b,n) > F(m,b,a,n) for m < n and a < b;
+    - ``printed_relations``: the 23 exact values and orders quoted against
+      the refuted general claims, whatever ``limit``.
+
     Failures are report content, not exceptions: a false instance lands in
-    the family's failure list.
+    the family's failure list, named by its compositions and relation.
     """
-    if memo is None:
-        memo = MemoTable()
-
-    def F(comp):
-        return f_value(comp, memo)
-
-    checks = [
-        ("two_block_value", _check_two_block_value),
-        ("two_block_order", _check_two_block_order),
-        ("block_split", _check_block_split),
-        ("three_block_prefix", _check_three_block_prefix),
-        ("three_block_middle", _check_three_block_middle),
-        ("four_block_swap", _check_four_block_swap),
-        ("printed_relations", _check_printed_relations),
+    memo = MemoTable()
+    instances = [
+        ("two_block_value", _two_block_value(limit)),
+        ("two_block_order", _two_block_order(limit)),
+        ("block_split", _block_split(limit)),
+        ("three_block_prefix", _three_block_prefix(limit)),
+        ("three_block_middle", _three_block_middle(limit)),
+        ("four_block_swap", _four_block_swap(limit)),
+        ("printed_relations", _PRINTED_RELATIONS),
     ]
-    families = [FamilyResult(name, *fn(limit, F)) for name, fn in checks]
+    families = [FamilyResult(name, *_check(family, memo)) for name, family in instances]
     return PropertySuiteReport(limit=limit, families=families)
 
 
@@ -457,7 +418,7 @@ class OracleDiffReport(NamedTuple):
         return not self.discrepancies
 
 
-def _check_orders(max_n: int, limit: int | None) -> None:
+def _refuse_orders(max_n: int, limit: int | None) -> None:
     # refuse before the first census, not after the orders below the limit
     if max_n < 3:
         raise OutOfRange(f"verification needs max_n >= 3, got {max_n}")
@@ -465,27 +426,17 @@ def _check_orders(max_n: int, limit: int | None) -> None:
         raise OrderTooLarge(f"census of order {max_n} exceeds the limit {limit}")
 
 
-def verify_against_oracle(
-    max_n: int,
-    memo: MemoTable | None = None,
-    *,
-    limit: int | None = CENSUS_LIMIT,
-) -> OracleDiffReport:
+def verify_against_oracle(max_n: int, *, limit: int | None = CENSUS_LIMIT) -> OracleDiffReport:
     """Compare the path-function route with the vertex-order census on every
     transitive tournament up to ``max_n``, key for key."""
-    _check_orders(max_n, limit)
-    if memo is None:
-        memo = MemoTable()
+    _refuse_orders(max_n, limit)
+    memo = MemoTable()
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):
         cen = census(make_transitive(n), limit=limit)
-        expected: dict[tuple[int, ...], int] = {}
-        for comp in compositions(n - 1):
-            for lead in (True, False):
-                key = canonical_key(signed_lift(comp, lead))
-                if key not in expected:
-                    expected[key] = tt_count(n, key, memo)
+        lifts = (signed_lift(c, lead) for c in compositions(n - 1) for lead in (True, False))
+        expected = {key: tt_count(n, key, memo) for key in set(map(canonical_key, lifts))}
         for key in sorted(set(cen.counts) | set(expected)):
             got = cen.counts.get(key, 0)
             want = expected.get(key, 0)
@@ -519,7 +470,7 @@ def verify_tournament_invariants(
     """
     if kind not in ("nearly", "random"):
         raise ValueError(f"unknown tournament kind: {kind!r}")
-    _check_orders(max_n, limit)
+    _refuse_orders(max_n, limit)
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):

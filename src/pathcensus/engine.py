@@ -14,10 +14,10 @@ of the last element placed, one prefix-sum pass per step, O(p^2) additions
 at most.  The two end blocks cost no passes: the shorter is built in closed
 form, and the longer is summed in one go by the hockey-stick identity, so a
 two-block type is that sum's one binomial term.  :func:`f_walk` runs the
-same DP on every up/down word of length at most ``p`` at once, the counts of
-all words packed into fixed-width fields of one integer per rank: a word of
-length k has run lengths of total k, so one level-by-level pass, O(p^2)
-big-integer steps, values every composition of every total up to ``p``.
+same DP on every up/down word of length ``p`` at once, the counts of all
+words packed into fixed-width fields of one integer per rank: a word of
+length p has run lengths of total p, so one pass that extends every word a
+letter per level, O(p^2) big-integer steps, values every composition of ``p``.
 :func:`f_recurrence` evaluates the defining recurrence on an explicit stack;
 it is exponential and kept as the independent reference the tests compare
 the DP against.
@@ -111,9 +111,9 @@ def f_value(c, memo: MemoTable | None = None) -> int:
     return value
 
 
-def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(composition, value)`` for every composition of a total in
-    ``start..p``, each exactly once: ``2**p - 1`` of them by default.
+def f_walk(p: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(composition, value)`` for every composition of ``p``, each
+    exactly once: ``2**(p-1)`` of them.
 
     The rank DP run on every up/down word at once, one word length k per
     level: entry ``i`` of the level's vector packs, one fixed-width field per
@@ -122,9 +122,8 @@ def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
     ``w`` is the word whose letter ``j >= 1`` ascends when bit ``j - 1`` of
     ``w`` is set, so a shift, an add and a subtraction per entry extend
     every word by both letters, and the vector's sum holds every value of
-    total k.  Rows come in ascending totals, and in word order within a
-    total, so a composition comes before its extensions.  Live state is one
-    level: its vector of k+1 packed integers and its compositions.
+    total k.  Rows come in word order.  Live state is one level: its vector
+    of k+1 packed integers and its compositions.
     """
     if p < 1:
         raise OutOfRange(f"total must be positive, got {p}")
@@ -137,8 +136,6 @@ def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
         for i in range(1, k + 1):
             x[i] += x[i - 1]
         total = x[-1]
-        if k >= start:
-            yield from zip(comps, _fields(total, k, size))
         # rank i of the next level: letter k ascends (into the upper half of
         # the fields) from the u = sum(x[:i]) that end below i, and descends
         # from the total - u that end at or above it; the last level is only
@@ -151,8 +148,7 @@ def f_walk(p: int, start: int = 1) -> Iterator[tuple[tuple[int, ...], int]]:
             total = (u << shift) + (k + 2) * total - u
             del x, u  # the last level's rows need none of the DP
         comps = _next_words(comps)
-    if p >= start:
-        yield from zip(comps, _fields(total, p, size))
+    yield from zip(comps, _fields(total, p, size))
 
 
 def _fields(packed: int, k: int, size: int) -> list[int]:

@@ -138,10 +138,13 @@ def _parse_entries(text: str) -> tuple[int, ...]:
 
 
 def check_signed_type(a: Sequence[int]) -> tuple[int, ...]:
-    """``a`` as a tuple, once no entry is zero and consecutive entries have
-    opposite signs; raises :class:`ParseError` otherwise."""
+    """``a`` as a tuple, once every entry is a nonzero ``int`` and
+    consecutive entries have opposite signs; raises :class:`ParseError`
+    otherwise."""
     a = tuple(a)
     for e in a:
+        if not isinstance(e, int):
+            raise ParseError(f"not an integer entry: {e!r}")
         if e == 0:
             raise ParseError("zero entries are not allowed in a signed type")
     for x, y in zip(a, a[1:]):

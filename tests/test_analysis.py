@@ -59,10 +59,12 @@ def test_tt_count_rejects_order_mismatch():
     [lambda a: tt_count(3, a), lambda a: count_type(make_transitive(3), a)],
     ids=["tt_count", "count_type"],
 )
-@pytest.mark.parametrize("bad", [(1, 1), (-1, -1), (2, 0), (1, 0, -1)])
+@pytest.mark.parametrize(
+    "bad", [(1, 1), (-1, -1), (2, 0), (1, 0, -1), (2.0,), (1.5, -0.5), ("1", "-1")]
+)
 def test_malformed_signed_types_are_refused_by_both_counts(count, bad):
-    # each tuple has total 2, so order 3 fits; a zero or a repeated sign
-    # describes no path type and must not be counted as one
+    # each tuple has total 2, so order 3 fits; a zero, a repeated sign or an
+    # entry that is no int describes no path type and must not be counted
     with pytest.raises(ParseError):
         count(bad)
 
@@ -177,24 +179,24 @@ def test_one_walk_matches_the_sorted_rows_to_p14():
 
 
 def one_walk_verdicts(max_p):
-    # the unpruned reference: one f_walk pass values every composition of
-    # every total 3..max_p and keeps, per total, the runner-up attainers and
+    # the unpruned reference: one f_walk pass per total 3..max_p values
+    # every composition and keeps, per total, the runner-up attainers and
     # the compositions that reach the all-ones value
     totals = range(3, max_p + 1)
     ones = {p: f_value((1,) * p) for p in totals}
     runner = dict.fromkeys(totals, 0)
     attainers = {p: [] for p in totals}
     beating = {p: [] for p in totals}
-    for comp, value in f_walk(max_p, start=3):
-        p = sum(comp)
-        if len(comp) == p:
-            continue
-        if value >= ones[p]:
-            beating[p].append(comp)
-        if value > runner[p]:
-            runner[p], attainers[p] = value, [comp]
-        elif value == runner[p]:
-            attainers[p].append(comp)
+    for p in totals:
+        for comp, value in f_walk(p):
+            if len(comp) == p:
+                continue
+            if value >= ones[p]:
+                beating[p].append(comp)
+            if value > runner[p]:
+                runner[p], attainers[p] = value, [comp]
+            elif value == runner[p]:
+                attainers[p].append(comp)
     return [
         analysis._verdict(p, ones[p], runner[p], sorted(attainers[p]), sorted(beating[p]))
         for p in totals
@@ -217,7 +219,7 @@ def test_a_subtree_bound_equal_to_the_floor_is_expanded():
 def test_split_identity_behind_the_pruning_bound():
     # split a permutation of [p+1] after place k+1: pick the values of the
     # first k+1 places, then order each side; the junction letter c is free
-    values = dict(f_walk(11))
+    values = {c: v for total in range(1, 12) for c, v in f_walk(total)}
 
     def F(word):  # the value of a word's run lengths; one empty permutation
         runs = tuple(len(list(g)) for _, g in groupby(word))
@@ -275,7 +277,7 @@ ONES_5 = (1, 1, 1, 1, 1)
     ids=["all_ones_beaten", "runner_up_tied", "runner_up_below_half", "shared_witness"],
 )
 def test_conjecture_witness_branches(monkeypatch, changes, flags, witnesses):
-    values = dict(f_walk(5))
+    values = {c: v for total in range(1, 6) for c, v in f_walk(total)}
     values.update(changes)
     # fed where the verdict reads the walk, since values above the true
     # maximum break the pruning bound; served in reverse walk order, so the
@@ -289,7 +291,7 @@ def test_conjecture_witness_branches(monkeypatch, changes, flags, witnesses):
     monkeypatch.setattr(
         analysis,
         "f_walk",
-        lambda p, start: ((c, v) for c, v in values.items() if sum(c) == p),
+        lambda p: ((c, v) for c, v in values.items() if sum(c) == p),
     )
     v = check_conjecture(5)
     assert v == sorted_rows_verdict(5)
@@ -343,6 +345,30 @@ def test_property_suite_clean_at_total_12():
     ]
     assert all(f.checked > 0 for f in report.families)
     assert report.family("printed_relations").checked == 23
+
+
+@pytest.mark.parametrize(
+    "limit,counts",
+    [(12, [66, 506, 219, 1210, 1210, 80, 23]), (16, [120, 1240, 559, 4200, 4200, 336, 23])],
+)
+def test_property_suite_checks_a_fixed_number_of_instances(limit, counts):
+    report = run_property_suite(limit)
+    assert [f.checked for f in report.families] == counts
+    assert report.ok
+
+
+def test_property_suite_reports_a_wrong_value(monkeypatch):
+    clean = run_property_suite(12)
+    real = analysis.f_value
+    monkeypatch.setattr(
+        analysis, "f_value", lambda c, memo=None: 36 if tuple(c) == (3, 4) else real(c, memo)
+    )
+    report = run_property_suite(12)
+    assert not report.ok
+    for name in ("two_block_value", "printed_relations"):
+        failures = report.family(name).failures
+        assert any("(3,4)" in f.replace(" ", "") for f in failures), (name, failures)
+    assert [f.checked for f in report.families] == [f.checked for f in clean.families]
 
 
 def test_three_block_prefix_catches_known_ordering():

@@ -88,7 +88,7 @@ def test_matches_pattern_oracle_exhaustively_to_total_6():
 def test_dp_and_table_match_the_recurrence_to_total_14():
     reference = MemoTable()
     for total in range(1, 15):
-        table = dict(f_walk(total, start=total))
+        table = dict(f_walk(total))
         assert len(table) == 2 ** (total - 1)
         for comp in compositions(total):
             want = f_recurrence(comp, reference)
@@ -100,19 +100,15 @@ def test_walk_values_every_composition_of_every_total_once():
     for p in range(1, 13):
         rows = list(f_walk(p))
         comps = [c for c, _ in rows]
-        assert len(comps) == len(set(comps)) == 2**p - 1, p
-        assert sorted(comps) == sorted(c for t in range(1, p + 1) for c in compositions(t))
-        # ascending totals, so a composition comes before its extensions
-        assert [sum(c) for c in comps] == sorted(sum(c) for c in comps), p
+        assert len(comps) == len(set(comps)) == 2 ** (p - 1), p
+        assert sorted(comps) == sorted(compositions(p)), p
         assert all(v == f_value(c) for c, v in rows), p
-        assert list(f_walk(p, start=p)) == [(c, v) for c, v in rows if sum(c) == p]
-        assert list(f_walk(p, start=3)) == [(c, v) for c, v in rows if sum(c) >= 3]
 
 
 def test_walk_fields_wider_than_64_bits():
     # 21! > 2**64, so total 20 is the first whose packed fields are sized
     # wider than 8 bytes, and decoded one field at a time
-    rows = dict(f_walk(20, start=20))
+    rows = dict(f_walk(20))
     assert len(rows) == 2**19
     assert sum(rows.values()) == factorial(21) // 2
     for comp in [(1,) * 20, (1, 2) + (1,) * 17]:
