@@ -103,9 +103,10 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
         raise OutOfRange(f"scan needs p >= 2, got {p}")
     if limit is not None and p > limit:
         raise ScanTooLarge(f"scan of p={p} exceeds the limit {limit}")
-    rows = sorted(f_walk(p), key=itemgetter(1, 0))
-    # rows ascend by (value, composition): the runner-up is the last row
-    # unless that one is the all-ones composition
+    # f_walk yields ascending compositions and the sort is stable, so rows
+    # ascend by (value, composition): the runner-up is the last row unless
+    # that one is the all-ones composition
+    rows = sorted(f_walk(p), key=itemgetter(1))
     runner_up = rows[-2] if rows[-1][0] == (1,) * p else rows[-1]
     return ScanReport(p=p, rows=rows, max_row=rows[-1], runner_up_row=runner_up)
 
@@ -378,8 +379,12 @@ def run_property_suite(limit: int = 16) -> PropertySuiteReport:
       the refuted general claims, whatever ``limit``.
 
     Failures are report content, not exceptions: a false instance lands in
-    the family's failure list, named by its compositions and relation.
+    the family's failure list, named by its compositions and relation.  A
+    ``limit`` below 6 raises :class:`OutOfRange`: ``four_block_swap``'s
+    first instance, (1,1,2,2), has total 6, so a smaller one checks nothing.
     """
+    if limit < 6:
+        raise OutOfRange(f"property suite needs limit >= 6, got {limit}")
     memo = MemoTable()
     instances = [
         ("two_block_value", _two_block_value(limit)),

@@ -14,10 +14,11 @@ of the last element placed, one prefix-sum pass per step, O(p^2) additions
 at most.  The two end blocks cost no passes: the shorter is built in closed
 form, and the longer is summed in one go by the hockey-stick identity, so a
 two-block type is that sum's one binomial term.  :func:`f_walk` runs the
-same DP on every up/down word of length ``p`` at once, the counts of all
-words packed into fixed-width fields of one integer per rank: a word of
-length p has run lengths of total p, so one pass that extends every word a
-letter per level, O(p^2) big-integer steps, values every composition of ``p``.
+same DP, in the same frame, on every composition of ``p`` at once: one
+fixed-width field per composition, its bits marking where the blocks end,
+packed into one integer per rank.  One pass that extends every composition
+a letter per level, O(p^2) big-integer steps, values them all, and the
+fields come out in ascending composition order.
 :func:`f_recurrence` evaluates the defining recurrence on an explicit stack;
 it is exponential and kept as the independent reference the tests compare
 the DP against.
@@ -32,7 +33,7 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .errors import OutOfRange, UndefinedType
-from .types import derive_children
+from .types import compositions, derive_children
 
 __all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
 
@@ -113,42 +114,44 @@ def f_value(c, memo: MemoTable | None = None) -> int:
 
 def f_walk(p: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """``(composition, value)`` for every composition of ``p``, each
-    exactly once: ``2**(p-1)`` of them.
+    exactly once: ``2**(p-1)`` of them, in ascending composition order.
 
-    The rank DP run on every up/down word at once, one word length k per
-    level: entry ``i`` of the level's vector packs, one fixed-width field per
-    word that starts with an ascent, the count of permutations of
+    The rank DP of :func:`f_value` run on every up/down word that starts
+    with an ascent at once, one word length k per level, ranks read in the
+    direction of the current block: entry ``i`` of the level's vector
+    packs, one fixed-width field per word, the count of permutations of
     ``1..k+1`` with that word whose last element has rank ``i``.  Field
-    ``w`` is the word whose letter ``j >= 1`` ascends when bit ``j - 1`` of
-    ``w`` is set, so a shift, an add and a subtraction per entry extend
-    every word by both letters, and the vector's sum holds every value of
-    total k.  Rows come in word order.  Live state is one level: its vector
-    of k+1 packed integers and its compositions.
+    ``w`` records where the blocks end: letter ``j >= 1`` continues its
+    block when bit ``j - 1`` of ``w`` is set and starts a new one when it
+    is clear.  So a shift, an add and a subtraction per entry extend every
+    word both ways, and the vector's sum holds every value of total k.
+    The last letter is the top bit, so the fields in order belong to the
+    reversed compositions in ascending order; F(c) = F(reversed c) makes
+    them the values of the compositions in ascending order.
     """
     if p < 1:
         raise OutOfRange(f"total must be positive, got {p}")
     # a field never carries, as no count exceeds (p+1)!; at least 8 bytes,
     # so up to p = 19 a level's fields decode in one cast
     size = max(8, (factorial(p + 1).bit_length() + 7) // 8)
-    x, comps, total = [0, 1], [(1,)], 1
+    x, total = [0, 1], 1
     for k in range(1, p):
-        # x[i] becomes the sum of x[:i+1]; the last entry is the level's sum
-        for i in range(1, k + 1):
-            x[i] += x[i - 1]
+        # x becomes u, u[i] = sum(x[:i]); the last entry is the level's sum
+        x = [0, *accumulate(x)]
         total = x[-1]
-        # rank i of the next level: letter k ascends (into the upper half of
-        # the fields) from the u = sum(x[:i]) that end below i, and descends
-        # from the total - u that end at or above it; the last level is only
-        # summed, and the sum of its k+2 values of u is sum(x)
+        # rank i of the next level: a letter that continues the block (the
+        # upper half of the fields) follows the u[i] prefixes that end below
+        # rank i, and one that starts a block, whose ranks read the other
+        # way, the total - u[k+1-i] that end at rank k+1-i or above; the
+        # last level is only summed, and reversed(u) sums to sum(u)
         shift = (8 * size) << (k - 1)
         if k + 1 < p:
-            x = [total, *[(u << shift) + total - u for u in x]]
+            x = [(a << shift) + total - b for a, b in zip(x, reversed(x))]
         else:
             u = sum(x)
             total = (u << shift) + (k + 2) * total - u
-            del x, u  # the last level's rows need none of the DP
-        comps = _next_words(comps)
-    yield from zip(comps, _fields(total, p, size))
+            del x, u  # freed before the compositions are built
+    yield from zip(reversed(compositions(p)), _fields(total, p, size))
 
 
 def _fields(packed: int, k: int, size: int) -> list[int]:
@@ -157,21 +160,6 @@ def _fields(packed: int, k: int, size: int) -> list[int]:
     if size == 8 and sys.byteorder == "little":
         return memoryview(data).cast("Q").tolist()
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
-
-
-def _next_words(comps: list) -> list:
-    # the compositions of the words one letter longer: the new letter
-    # descends in the lower half and ascends in the upper, and extends the
-    # last block when it repeats the last letter, which descends in the
-    # lower half of comps and ascends in the upper (in all of a lone (1,))
-    half = len(comps) // 2
-    down, up = comps[:half], comps[half:]
-    return [
-        *[c[:-1] + (c[-1] + 1,) for c in down],
-        *[c + (1,) for c in up],
-        *[c + (1,) for c in down],
-        *[c[:-1] + (c[-1] + 1,) for c in up],
-    ]
 
 
 def f_recurrence(c, memo: MemoTable | None = None) -> int:

@@ -12,7 +12,7 @@ signed type ``a`` and ``negate(reverse(a))`` describe the same path set;
 a dictionary key.
 """
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .errors import OutOfRange, ParseError, UndefinedType
 
@@ -108,21 +108,19 @@ def signed_lift(c: Sequence[int], leading_positive: bool = True) -> tuple[int, .
     return tuple(out)
 
 
-def compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of positive integers summing to ``total``
-    (there are ``2**(total-1)``), largest first entry first."""
+def compositions(total: int) -> list[tuple[int, ...]]:
+    """All ordered tuples of positive integers summing to ``total`` (there
+    are ``2**(total-1)``), in descending lexicographic order: ``(total,)``
+    first, the all-ones tuple last."""
     if total < 1:
         raise OutOfRange(f"total must be positive, got {total}")
-    yield from _compositions(total)
-
-
-def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    if total == 0:
-        yield ()
-        return
-    for first in range(total, 0, -1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+    comps = [(1,)]
+    for _ in range(total - 1):
+        # one more unit: each composition with its first entry grown, then
+        # each with a 1 put in front; both keep the order, and a grown first
+        # entry exceeds 1
+        comps = [(c[0] + 1,) + c[1:] for c in comps] + [(1,) + c for c in comps]
+    return comps
 
 
 def _parse_entries(text: str) -> tuple[int, ...]:

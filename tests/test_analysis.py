@@ -318,8 +318,20 @@ def test_conjecture_rejects_tiny_p():
         lambda: list(compositions(0)),
         lambda: f_two_block(0, 3),
         lambda: f_two_block(3, 0),
+        lambda: run_property_suite(0),
+        lambda: run_property_suite(-5),
+        lambda: run_property_suite(5),
     ],
-    ids=["runner_up_pattern", "f_walk", "compositions", "f_two_block-m", "f_two_block-n"],
+    ids=[
+        "runner_up_pattern",
+        "f_walk",
+        "compositions",
+        "f_two_block-m",
+        "f_two_block-n",
+        "run_property_suite-0",
+        "run_property_suite--5",
+        "run_property_suite-5",
+    ],
 )
 def test_sizes_below_the_range_are_library_errors(call):
     with pytest.raises(PathCensusError) as caught:

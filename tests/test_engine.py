@@ -3,10 +3,12 @@
 import random
 from itertools import permutations
 from math import comb, factorial
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathcensus.analysis import scan
 from pathcensus.engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
 from pathcensus.errors import UndefinedType
 from pathcensus.types import compositions, signed_lift
@@ -103,6 +105,16 @@ def test_walk_values_every_composition_of_every_total_once():
         assert len(comps) == len(set(comps)) == 2 ** (p - 1), p
         assert sorted(comps) == sorted(compositions(p)), p
         assert all(v == f_value(c) for c, v in rows), p
+
+
+def test_walk_yields_compositions_in_ascending_order():
+    for p in range(1, 15):
+        assert [c for c, _ in f_walk(p)] == sorted(compositions(p)), p
+
+
+def test_scan_rows_are_the_walk_sorted_by_value_then_composition():
+    for p in range(2, 17):
+        assert scan(p).rows == sorted(f_walk(p), key=itemgetter(1, 0)), p
 
 
 def test_walk_fields_wider_than_64_bits():

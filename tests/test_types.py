@@ -1,6 +1,6 @@
 """Tuple algebra: reduction, symmetry, canonical keys, child derivation."""
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import pytest
 from hypothesis import given, strategies as st
@@ -263,6 +263,25 @@ def test_signed_lift_roundtrip(c, lead):
 
 
 # compositions ----------------------------------------------------------------
+
+# a recursive enumerator, kept here as the reference that pins the order of
+# compositions: largest first entry first, the rest likewise
+
+def _compositions(total: int) -> Iterator[tuple[int, ...]]:
+    if total == 0:
+        yield ()
+        return
+    for first in range(total, 0, -1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def test_compositions_order_matches_the_recursive_reference():
+    for p in range(1, 15):
+        got = compositions(p)
+        assert got == list(_compositions(p)), p
+        assert got == sorted(got, reverse=True), p
+
 
 @pytest.mark.parametrize("p", [1, 2, 3, 6, 9])
 def test_compositions_complete(p):
