@@ -431,6 +431,18 @@ def _refuse_orders(max_n: int, limit: int | None) -> None:
         raise OrderTooLarge(f"census of order {max_n} exceeds the limit {limit}")
 
 
+def _compare(n: int, got: dict, want: dict, note: str, found: list) -> int:
+    """Check two per-type tallies key for key, in key order, appending a
+    :class:`Discrepancy` to ``found`` per mismatch; returns the keys checked."""
+    keys = sorted(set(got) | set(want))
+    found.extend(
+        Discrepancy(n, format_entries(key), got.get(key, 0), want.get(key, 0), note)
+        for key in keys
+        if got.get(key, 0) != want.get(key, 0)
+    )
+    return len(keys)
+
+
 def verify_against_oracle(max_n: int, *, limit: int | None = CENSUS_LIMIT) -> OracleDiffReport:
     """Compare the path-function route with the vertex-order census on every
     transitive tournament up to ``max_n``, key for key."""
@@ -442,14 +454,7 @@ def verify_against_oracle(max_n: int, *, limit: int | None = CENSUS_LIMIT) -> Or
         cen = census(make_transitive(n), limit=limit)
         lifts = (signed_lift(c, lead) for c in compositions(n - 1) for lead in (True, False))
         expected = {key: tt_count(n, key, memo) for key in set(map(canonical_key, lifts))}
-        for key in sorted(set(cen.counts) | set(expected)):
-            got = cen.counts.get(key, 0)
-            want = expected.get(key, 0)
-            checks += 1
-            if got != want:
-                discrepancies.append(
-                    Discrepancy(n, format_entries(key), got, want, "transitive-census")
-                )
+        checks += _compare(n, cen.counts, expected, "transitive-census", discrepancies)
     return OracleDiffReport(
         kind="transitive",
         max_n=max_n,
@@ -490,14 +495,7 @@ def verify_tournament_invariants(
             discrepancies.append(
                 Discrepancy(n, "(total)", total, want_total, "partition")
             )
-        for key in sorted(set(cen.counts) | set(comp_cen.counts)):
-            checks += 1
-            got = cen.counts.get(key, 0)
-            mirrored = comp_cen.counts.get(key, 0)
-            if got != mirrored:
-                discrepancies.append(
-                    Discrepancy(n, format_entries(key), got, mirrored, "complement")
-                )
+        checks += _compare(n, cen.counts, comp_cen.counts, "complement", discrepancies)
         if kind == "nearly":
             checks += 1
             directed = cen.counts.get(canonical_key((n - 1,)), 0)

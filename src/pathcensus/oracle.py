@@ -1,8 +1,10 @@
 """Ground truth on small tournaments, by counting vertex orders.
 
-A tournament is a complete orientation of K_n on vertices 1..n.  Every
-vertex order traces a Hamiltonian oriented path, whose type is read off the
-up/down word of its arcs.  The census counts all n! orders at once with a
+A tournament is a complete orientation of K_n on vertices 1..n, held as
+one out-neighbour bitmask per vertex: the census steps on those masks as
+they are, and :meth:`Tournament.beats` reads one arc.  Every vertex order
+traces a Hamiltonian oriented path, whose type is read off the up/down word
+of its arcs.  The census counts all n! orders at once with a
 Held–Karp subset DP over (visited set, last vertex) states; each state holds
 one integer that packs the counts of every up/down word into fixed-width
 fields (see :func:`_tally`), so the DP costs n(n-1)·2^(n-2) big-int adds.
@@ -45,21 +47,16 @@ CENSUS_LIMIT = 10
 
 
 class Tournament(NamedTuple):
-    """Complete orientation of K_n; ``wins[i][j]`` means arc i -> j.
-
-    The matrix is (n+1) x (n+1) with row/column 0 unused, so vertex labels
-    are 1..n throughout.
-    """
+    """Complete orientation of K_n on vertices 1..n, as out-neighbour
+    bitmasks: bit ``j - 1`` of ``out[i - 1]`` is set iff arc i -> j."""
 
     n: int
-    wins: tuple[tuple[bool, ...], ...]
+    out: tuple[int, ...]
 
     def beats(self, i: int, j: int) -> bool:
-        return self.wins[i][j]
-
-
-def _freeze(matrix: list[list[bool]]) -> tuple[tuple[bool, ...], ...]:
-    return tuple(tuple(row) for row in matrix)
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"vertex labels run 1..{self.n}, got ({i}, {j})")
+        return bool(self.out[i - 1] >> (j - 1) & 1)
 
 
 def make_tournament(n: int, winners) -> Tournament:
@@ -69,7 +66,7 @@ def make_tournament(n: int, winners) -> Tournament:
     """
     if n < 2:
         raise InvalidOrder(f"a tournament needs at least 2 vertices, got {n}")
-    matrix = [[False] * (n + 1) for _ in range(n + 1)]
+    out = [0] * n
     seen = set()
     for i, j in winners:
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -78,28 +75,27 @@ def make_tournament(n: int, winners) -> Tournament:
         if pair in seen:
             raise ValueError(f"pair {pair} oriented twice")
         seen.add(pair)
-        matrix[i][j] = True
+        out[i - 1] |= 1 << (j - 1)
     if len(seen) != n * (n - 1) // 2:
         raise ValueError(f"{n * (n - 1) // 2 - len(seen)} pairs left unoriented")
-    return Tournament(n, _freeze(matrix))
+    return Tournament(n, tuple(out))
 
 
 def make_transitive(n: int) -> Tournament:
     """The transitive tournament: i beats j iff i < j."""
     if n < 2:
         raise InvalidOrder(f"a tournament needs at least 2 vertices, got {n}")
-    matrix = [[0 < i < j for j in range(n + 1)] for i in range(n + 1)]
-    return Tournament(n, _freeze(matrix))
+    return Tournament(n, tuple((1 << n) - (1 << i) for i in range(1, n + 1)))
 
 
 def make_nearly_transitive(n: int) -> Tournament:
     """Transitive orientation with the single arc (1, n) reversed to (n, 1)."""
     if n < 3:
         raise InvalidOrder(f"nearly-transitive needs at least 3 vertices, got {n}")
-    matrix = [list(row) for row in make_transitive(n).wins]
-    matrix[1][n] = False
-    matrix[n][1] = True
-    return Tournament(n, _freeze(matrix))
+    out = list(make_transitive(n).out)
+    out[0] ^= 1 << (n - 1)
+    out[n - 1] ^= 1
+    return Tournament(n, tuple(out))
 
 
 def make_random(n: int, seed: int) -> Tournament:
@@ -112,22 +108,21 @@ def make_random(n: int, seed: int) -> Tournament:
     if n < 2:
         raise InvalidOrder(f"a tournament needs at least 2 vertices, got {n}")
     rng = random.Random(seed)
-    matrix = [[False] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
+    out = [0] * n
+    for i in range(n):  # 0-based here: vertex i + 1 is bit 1 << i
+        for j in range(i + 1, n):
             if rng.getrandbits(1):
-                matrix[i][j] = True
+                out[i] |= 1 << j
             else:
-                matrix[j][i] = True
-    return Tournament(n, _freeze(matrix))
+                out[j] |= 1 << i
+    return Tournament(n, tuple(out))
 
 
 def complement(t: Tournament) -> Tournament:
     """Every arc reversed; an involution."""
-    matrix = [
-        [t.wins[j][i] for j in range(t.n + 1)] for i in range(t.n + 1)
-    ]
-    return Tournament(t.n, _freeze(matrix))
+    everyone = (1 << t.n) - 1
+    # each vertex now beats everyone it lost to, and still not itself
+    return Tournament(t.n, tuple(everyone ^ row ^ (1 << v) for v, row in enumerate(t.out)))
 
 
 class TypeCensus(NamedTuple):
@@ -153,10 +148,9 @@ def _tally(t: Tournament) -> dict[tuple[int, ...], int]:
     and is wide enough to hold n!, so no field ever carries into the next.
     """
     n = t.n
-    # vertex v is bit 1 << (v - 1); beats[u] has the bits of the vertices u beats
-    beats = [0] + [
-        sum(1 << (v - 1) for v in range(1, n + 1) if row[v]) for row in t.wins[1:]
-    ]
+    # vertex v is bit 1 << (v - 1); beats[v] is its out-neighbour mask, padded
+    # at 0 so states keep the label bit.bit_length() with no per-state shift
+    beats = (0, *t.out)
     everyone = (1 << n) - 1
     nbytes = (factorial(n).bit_length() + 7) // 8
     width = 8 * nbytes

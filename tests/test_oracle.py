@@ -29,6 +29,10 @@ def tournaments(draw, min_n=3, max_n=7):
     return make_tournament(n, [(j, i) if f else (i, j) for (i, j), f in zip(pairs, flips)])
 
 
+def arcs(t):
+    return [(i, j) for i in range(1, t.n + 1) for j in range(1, t.n + 1) if t.beats(i, j)]
+
+
 # builders -------------------------------------------------------------------
 
 def test_transitive_arcs():
@@ -48,8 +52,19 @@ def test_nearly_transitive_reverses_the_long_arc():
     t = make_nearly_transitive(4)
     assert t.beats(4, 1) and not t.beats(1, 4)
     assert t.beats(1, 2) and t.beats(2, 3) and t.beats(3, 4)
+    for n in range(3, 11):  # and no other arc differs from the transitive one
+        flipped = {(1, n), (n, 1)}
+        assert set(arcs(make_nearly_transitive(n))) ^ set(arcs(make_transitive(n))) == flipped
     with pytest.raises(InvalidOrder):
         make_nearly_transitive(2)
+
+
+def test_beats_rejects_labels_outside_one_to_n():
+    # label 0 or -1 would otherwise index the last vertex's mask
+    t = make_transitive(4)
+    for i, j in ((0, 1), (1, 0), (-1, 2), (5, 1), (1, 5)):
+        with pytest.raises(ValueError):
+            t.beats(i, j)
 
 
 def test_make_tournament_validates():
@@ -95,6 +110,24 @@ def test_make_random_is_complete():
             for j in range(i + 1, 7):
                 assert t.beats(i, j) != t.beats(j, i)
                 assert not t.beats(i, i)
+
+
+def test_make_random_stream_is_stable():
+    # pairs in lexicographic order, one Mersenne-Twister bit each
+    assert arcs(make_random(6, 3)) == [
+        (1, 3), (1, 4), (2, 1), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6),
+        (4, 6), (5, 1), (5, 2), (5, 3), (5, 4), (5, 6), (6, 1),
+    ]
+
+
+@given(tournaments())
+def test_complement_reverses_every_arc(t):
+    c = complement(t)
+    for i in range(1, t.n + 1):
+        assert not c.beats(i, i)
+        for j in range(1, t.n + 1):
+            if i != j:
+                assert c.beats(i, j) == t.beats(j, i)
 
 
 # census ----------------------------------------------------------------------
