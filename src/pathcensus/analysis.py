@@ -6,10 +6,11 @@ halved when the type is symmetric (a symmetric path is met once per
 enumeration direction).  On top of that sit a full scan of all compositions
 of a total with ranking, the observation checker for the all-ones maximum,
 the property suite (seven families that each list their instances, exact
-values or strict orders, checked by one loop up to a total), and a
-differential check against the vertex-order census.  Results are immutable
-named tuples holding exact ints; rendering them as text, csv or JSON is the
-CLI's job alone.
+values or strict orders, checked by one loop up to a total), and one verify
+call, :func:`verify_against_oracle`, that checks the vertex-order census on
+transitive, nearly-transitive or seeded random tournaments.  Results are
+immutable named tuples holding exact ints; rendering them as text, csv or
+JSON is the CLI's job alone.
 """
 
 from itertools import accumulate
@@ -45,7 +46,6 @@ __all__ = [
     "Discrepancy",
     "OracleDiffReport",
     "verify_against_oracle",
-    "verify_tournament_invariants",
 ]
 
 DEFAULT_SCAN_LIMIT = 18
@@ -423,14 +423,6 @@ class OracleDiffReport(NamedTuple):
         return not self.discrepancies
 
 
-def _refuse_orders(max_n: int, limit: int | None) -> None:
-    # refuse before the first census, not after the orders below the limit
-    if max_n < 3:
-        raise OutOfRange(f"verification needs max_n >= 3, got {max_n}")
-    if limit is not None and max_n > limit:
-        raise OrderTooLarge(f"census of order {max_n} exceeds the limit {limit}")
-
-
 def _compare(n: int, got: dict, want: dict, note: str, found: list) -> int:
     """Check two per-type tallies key for key, in key order, appending a
     :class:`Discrepancy` to ``found`` per mismatch; returns the keys checked."""
@@ -443,47 +435,38 @@ def _compare(n: int, got: dict, want: dict, note: str, found: list) -> int:
     return len(keys)
 
 
-def verify_against_oracle(max_n: int, *, limit: int | None = CENSUS_LIMIT) -> OracleDiffReport:
-    """Compare the path-function route with the vertex-order census on every
-    transitive tournament up to ``max_n``, key for key."""
-    _refuse_orders(max_n, limit)
-    memo = MemoTable()
-    checks = 0
-    discrepancies = []
-    for n in range(3, max_n + 1):
-        cen = census(make_transitive(n), limit=limit)
-        lifts = (signed_lift(c, lead) for c in compositions(n - 1) for lead in (True, False))
-        expected = {key: tt_count(n, key, memo) for key in set(map(canonical_key, lifts))}
-        checks += _compare(n, cen.counts, expected, "transitive-census", discrepancies)
-    return OracleDiffReport(
-        kind="transitive",
-        max_n=max_n,
-        seed=None,
-        checks=checks,
-        discrepancies=discrepancies,
-    )
-
-
-def verify_tournament_invariants(
-    kind: str,
+def verify_against_oracle(
     max_n: int,
+    kind: str = "transitive",
     seed: int = 0,
     *,
     limit: int | None = CENSUS_LIMIT,
 ) -> OracleDiffReport:
-    """Self-checks for non-transitive tournaments.
+    """Check the vertex-order census on one tournament family at every order
+    3..``max_n``: ``"transitive"``, ``"nearly"`` or ``"random"`` (by ``seed``).
 
-    For every order up to ``max_n``: the census must partition all n!/2
-    paths, and the complement must show the same count for every type.  The
-    nearly-transitive family additionally pins its directed-path count to
-    2^(n-2) + 1.
+    On the transitive tournament the census must match the path-function
+    route key for key.  On the others it must partition all n!/2 paths and
+    show the complement's count for every type, and the nearly-transitive
+    family pins its directed-path count to 2^(n-2) + 1.
     """
-    if kind not in ("nearly", "random"):
+    if kind not in ("transitive", "nearly", "random"):
         raise ValueError(f"unknown tournament kind: {kind!r}")
-    _refuse_orders(max_n, limit)
+    # refuse before the first census, not after the orders below the limit
+    if max_n < 3:
+        raise OutOfRange(f"verification needs max_n >= 3, got {max_n}")
+    if limit is not None and max_n > limit:
+        raise OrderTooLarge(f"census of order {max_n} exceeds the limit {limit}")
+    memo = MemoTable()
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):
+        if kind == "transitive":
+            cen = census(make_transitive(n), limit=limit)
+            lifts = (signed_lift(c, lead) for c in compositions(n - 1) for lead in (True, False))
+            expected = {key: tt_count(n, key, memo) for key in set(map(canonical_key, lifts))}
+            checks += _compare(n, cen.counts, expected, "transitive-census", discrepancies)
+            continue
         t = make_nearly_transitive(n) if kind == "nearly" else make_random(n, seed)
         cen = census(t, limit=limit)
         comp_cen = census(complement(t), limit=limit)

@@ -26,7 +26,6 @@ from .analysis import (
     scan,
     tt_count,
     verify_against_oracle,
-    verify_tournament_invariants,
 )
 from .engine import f_value
 from .errors import InvalidOrder, OrderTooLarge, PathCensusError, ScanTooLarge
@@ -244,14 +243,8 @@ def _conjecture_text(v) -> str:
 
 
 def _conjecture_json(v) -> dict:
-    return {
-        "report": "conjecture",
-        "p": v.p,
-        "all_ones_is_max": v.all_ones_is_max,
-        "runner_up_is_1_2_ones": v.runner_up_is_1_2_ones,
-        "runner_up_exceeds_half_max": v.runner_up_exceeds_half_max,
-        "witnesses": [format_entries(c) for c in v.witnesses],
-    }
+    witnesses = [format_entries(c) for c in v.witnesses]
+    return {"report": "conjecture", **v._asdict(), "witnesses": witnesses}
 
 
 def cmd_conjecture(args):
@@ -278,11 +271,7 @@ def cmd_conjecture(args):
 
 
 def cmd_verify(args):
-    limit = _limit(args)
-    if args.kind == "transitive":
-        report = verify_against_oracle(args.max_n, **limit)
-    else:
-        report = verify_tournament_invariants(args.kind, args.max_n, args.seed, **limit)
+    report = verify_against_oracle(args.max_n, args.kind, args.seed, **_limit(args))
     found = report.discrepancies
     header = (
         f"kind={report.kind} n=3..{report.max_n} checks={report.checks} "
@@ -292,10 +281,7 @@ def cmd_verify(args):
     def data():
         return {
             "report": "verify",
-            "kind": report.kind,
-            "max_n": report.max_n,
-            "seed": report.seed,
-            "checks": report.checks,
+            **report._asdict(),
             "discrepancies": [
                 {
                     "n": d.n,

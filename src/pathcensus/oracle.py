@@ -128,7 +128,6 @@ def complement(t: Tournament) -> Tournament:
 class TypeCensus(NamedTuple):
     """Per-type path tally of one tournament, keyed by canonical type."""
 
-    order: int
     counts: dict[tuple[int, ...], int]
 
     def total(self) -> int:
@@ -206,7 +205,7 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
                 f"odd tally {value} for type {key} before halving"
             )
         counts[key] = value // 2
-    return TypeCensus(order=n, counts=counts)
+    return TypeCensus(counts=counts)
 
 
 def count_type(t: Tournament, a, *, limit: int | None = CENSUS_LIMIT) -> int:

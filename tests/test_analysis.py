@@ -20,7 +20,6 @@ from pathcensus.analysis import (
     scan,
     tt_count,
     verify_against_oracle,
-    verify_tournament_invariants,
 )
 from pathcensus.engine import MemoTable, f_two_block, f_value, f_walk
 from pathcensus.errors import (
@@ -407,13 +406,13 @@ def test_verify_against_oracle_clean_to_n6():
     assert report.kind == "transitive"
 
 
-def test_verify_tournament_invariants_nearly():
-    report = verify_tournament_invariants("nearly", 6)
+def test_verify_against_oracle_nearly():
+    report = verify_against_oracle(6, "nearly")
     assert report.ok
 
 
-def test_verify_tournament_invariants_random():
-    report = verify_tournament_invariants("random", 6, seed=5)
+def test_verify_against_oracle_random():
+    report = verify_against_oracle(6, "random", seed=5)
     assert report.ok
     assert report.seed == 5
 
@@ -422,9 +421,9 @@ def test_verify_tournament_invariants_random():
     "call, error",
     [
         (lambda: verify_against_oracle(11), OrderTooLarge),
-        (lambda: verify_tournament_invariants("nearly", 11), OrderTooLarge),
+        (lambda: verify_against_oracle(11, "nearly"), OrderTooLarge),
         (lambda: verify_against_oracle(2), OutOfRange),
-        (lambda: verify_tournament_invariants("random", 2), OutOfRange),
+        (lambda: verify_against_oracle(2, "random"), OutOfRange),
     ],
     ids=["oracle-11", "nearly-11", "oracle-2", "random-2"],
 )
@@ -439,7 +438,17 @@ def test_verify_refuses_before_any_census(monkeypatch, call, error):
 
 def test_verify_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        verify_tournament_invariants("weird", 5)
+        verify_against_oracle(5, "weird")
+
+
+def test_verify_check_totals_at_n9():
+    # every kind's number of checks up to n = 9, so that a check gained or
+    # lost shows; only the random kind reports its seed
+    totals = [("transitive", 0, 269), ("nearly", 0, 281), ("random", 0, 274), ("random", 5, 274)]
+    for kind, seed, checks in totals:
+        report = verify_against_oracle(9, kind, seed)
+        assert (report.kind, report.checks, report.ok) == (kind, checks, True)
+        assert report.seed == (seed if kind == "random" else None)
 
 
 # reports as the CLI renders them -----------------------------------------------------
@@ -526,7 +535,7 @@ def test_verify_report_json_roundtrip(monkeypatch, capsys):
         discrepancies=[Discrepancy(5, "2,-2", 3, 4, "complement")],
     )
     code, out = render(
-        monkeypatch, capsys, "verify_tournament_invariants", withdiff,
+        monkeypatch, capsys, "verify_against_oracle", withdiff,
         "verify", "--max-n", "5", "--kind", "random", "--seed", "3", "--format", "json",
     )
     assert code == 1

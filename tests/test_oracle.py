@@ -100,7 +100,7 @@ def test_make_random_is_deterministic():
     a = make_random(5, seed=0)
     b = make_random(5, seed=0)
     assert a == b
-    assert a != make_random(5, seed=1) or True  # smoke only, not a contract
+    assert a != make_random(5, seed=1)
 
 
 def test_make_random_is_complete():
