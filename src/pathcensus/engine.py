@@ -22,9 +22,9 @@ fields come out in ascending composition order.
 :func:`f_recurrence` evaluates the defining recurrence on an explicit stack;
 it is exponential and kept as the independent reference the tests compare
 the DP against.
-Results are cached in memory only, under the key ``min(c, reversed(c))``:
-the function is invariant under reversal, so one stored entry answers both
-orientations.
+Results are cached in memory only, in a :class:`MemoTable`: a dict with
+one entry for a composition and its reversal, as the function is invariant
+under reversal.
 """
 
 import sys
@@ -38,25 +38,17 @@ from .types import compositions, derive_children
 __all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
 
 
-class MemoTable:
-    """Reversal-sharing cache of path-function results.
-
-    ``entries`` maps ``canonical(c)`` to the value of ``c``.  A table may be
-    shared freely: any writer inserts the same value for a key.
+class MemoTable(dict):
+    """Cache of path-function results: a dict in which the value of a
+    composition ``c`` is stored under ``min(c, reversed(c))``, as the
+    function is invariant under reversal.  A table may be shared freely:
+    any writer stores the same value for a key.
     """
 
-    __slots__ = ("entries",)
 
-    def __init__(self) -> None:
-        self.entries: dict[tuple[int, ...], int] = {}
-
-    @staticmethod
-    def canonical(c: tuple[int, ...]) -> tuple[int, ...]:
-        r = c[::-1]
-        return c if c <= r else r
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def _key(c: tuple[int, ...]) -> tuple[int, ...]:
+    r = c[::-1]
+    return c if c <= r else r
 
 
 def _composition(c) -> tuple[int, ...]:
@@ -105,10 +97,10 @@ def f_value(c, memo: MemoTable | None = None) -> int:
     comp = _composition(c)
     if memo is None:
         return _rank_dp(comp)
-    key = memo.canonical(comp)
-    value = memo.entries.get(key)
+    key = _key(comp)
+    value = memo.get(key)
     if value is None:
-        value = memo.entries[key] = _rank_dp(comp)
+        value = memo[key] = _rank_dp(comp)
     return value
 
 
@@ -151,7 +143,7 @@ def f_walk(p: int) -> Iterator[tuple[tuple[int, ...], int]]:
             u = sum(x)
             total = (u << shift) + (k + 2) * total - u
             del x, u  # freed before the compositions are built
-    yield from zip(reversed(compositions(p)), _fields(total, p, size))
+    return zip(reversed(compositions(p)), _fields(total, p, size))
 
 
 def _fields(packed: int, k: int, size: int) -> list[int]:
@@ -173,28 +165,25 @@ def f_recurrence(c, memo: MemoTable | None = None) -> int:
     comp = _composition(c)
     if memo is None:
         memo = MemoTable()
-
-    entries = memo.entries
-    canonical = MemoTable.canonical
     stack = [comp]
     while stack:
         cur = stack[-1]
-        key = canonical(cur)
-        if key in entries:
+        key = _key(cur)
+        if key in memo:
             stack.pop()
             continue
         if len(cur) == 1:
-            entries[key] = 1
+            memo[key] = 1
             stack.pop()
             continue
         children = derive_children(cur)
-        todo = [ch for ch in children if canonical(ch) not in entries]
+        todo = [ch for ch in children if _key(ch) not in memo]
         if todo:
             stack.extend(todo)
         else:
-            entries[key] = sum(entries[canonical(ch)] for ch in children)
+            memo[key] = sum(memo[_key(ch)] for ch in children)
             stack.pop()
-    return entries[canonical(comp)]
+    return memo[_key(comp)]
 
 
 def f_two_block(m: int, n: int) -> int:

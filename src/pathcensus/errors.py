@@ -22,7 +22,7 @@ class OutOfRange(PathCensusError, ValueError):
     ``ValueError``, so callers catching that still work."""
 
 
-class InvalidOrder(PathCensusError):
+class InvalidOrder(OutOfRange):
     """Tournament order outside a constructor's legal range."""
 
 

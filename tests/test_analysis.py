@@ -30,7 +30,14 @@ from pathcensus.errors import (
     ScanTooLarge,
     TypeOrderMismatch,
 )
-from pathcensus.oracle import count_type, make_transitive
+from pathcensus.oracle import (
+    census,
+    count_type,
+    make_nearly_transitive,
+    make_random,
+    make_tournament,
+    make_transitive,
+)
 from pathcensus.types import (
     canonical_key,
     compositions,
@@ -313,13 +320,18 @@ def test_conjecture_rejects_tiny_p():
     "call",
     [
         lambda: runner_up_pattern(2),
-        lambda: list(f_walk(0)),
+        lambda: f_walk(0),
         lambda: list(compositions(0)),
         lambda: f_two_block(0, 3),
         lambda: f_two_block(3, 0),
         lambda: run_property_suite(0),
         lambda: run_property_suite(-5),
         lambda: run_property_suite(5),
+        lambda: census(make_transitive(2)),
+        lambda: make_transitive(1),
+        lambda: make_nearly_transitive(2),
+        lambda: make_random(1, 0),
+        lambda: make_tournament(1, []),
     ],
     ids=[
         "runner_up_pattern",
@@ -330,6 +342,11 @@ def test_conjecture_rejects_tiny_p():
         "run_property_suite-0",
         "run_property_suite--5",
         "run_property_suite-5",
+        "census",
+        "make_transitive",
+        "make_nearly_transitive",
+        "make_random",
+        "make_tournament",
     ],
 )
 def test_sizes_below_the_range_are_library_errors(call):

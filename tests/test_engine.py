@@ -8,7 +8,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcensus.analysis import scan
+from pathcensus.analysis import check_conjecture, scan
 from pathcensus.engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
 from pathcensus.errors import UndefinedType
 from pathcensus.types import compositions, signed_lift
@@ -250,10 +250,21 @@ def test_value_independent_of_evaluation_order_and_memo_seeding():
 
 def test_memo_shares_reversed_keys():
     memo = MemoTable()
+    assert isinstance(memo, dict)
     f_value((1, 2), memo)
-    assert MemoTable.canonical((2, 1)) in memo.entries
+    assert min((2, 1), (1, 2)) in memo
     assert f_value((2, 1), memo) == 3
     assert len(memo) == 1
+
+    memo = MemoTable()
+    f_value((2, 1), memo)
+    f_value((1, 2), memo)
+    assert memo == {(1, 2): 3}
+
+    memo = MemoTable()
+    for p in range(3, 19):
+        check_conjecture(p, memo)
+    assert len(memo) == 16
 
 
 def test_stored_values_satisfy_the_recurrence():
@@ -262,10 +273,8 @@ def test_stored_values_satisfy_the_recurrence():
     memo = MemoTable()
     f_recurrence((2, 3, 2), memo)
     assert len(memo) > 1
-    for key, value in memo.entries.items():
+    for key, value in memo.items():
         if len(key) == 1:
             assert value == 1
         else:
-            assert value == sum(
-                memo.entries[MemoTable.canonical(ch)] for ch in derive_children(key)
-            )
+            assert value == sum(memo[min(ch, ch[::-1])] for ch in derive_children(key))
