@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .engine import MemoTable, f_two_block, f_value, f_walk
-from .errors import OrderTooLarge, OutOfRange, ScanTooLarge, TheoremViolation, TypeOrderMismatch
+from .errors import OutOfRange, TheoremViolation, TooLarge
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
 from .types import (
     canonical_key,
@@ -62,9 +62,7 @@ def tt_count(n: int, a, memo: MemoTable | None = None) -> int:
     a = check_signed_type(a)
     total = sum(abs(e) for e in a)
     if total != n - 1:
-        raise TypeOrderMismatch(
-            f"type {a} has total block length {total}, need {n - 1}"
-        )
+        raise OutOfRange(f"type {a} has total block length {total}, need {n - 1}")
     value = f_value(unsigned(a), memo)
     if is_symmetric(a):
         if value % 2:
@@ -102,7 +100,7 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
     if p < 2:
         raise OutOfRange(f"scan needs p >= 2, got {p}")
     if limit is not None and p > limit:
-        raise ScanTooLarge(f"scan of p={p} exceeds the limit {limit}")
+        raise TooLarge(f"scan of p={p} exceeds the limit {limit}")
     # f_walk yields ascending compositions and the sort is stable, so rows
     # ascend by (value, composition): the runner-up is the last row unless
     # that one is the all-ones composition
@@ -184,7 +182,7 @@ def check_conjectures(
     if max_p < 3:
         raise OutOfRange(f"conjecture check needs p >= 3, got {max_p}")
     if limit is not None and max_p > limit:
-        raise ScanTooLarge(f"conjecture check of p={max_p} exceeds the limit {limit}")
+        raise TooLarge(f"conjecture check of p={max_p} exceeds the limit {limit}")
     verdicts = []
     best = [1, 1, 2]  # M[m], the largest value at total m
     for p in range(3, max_p + 1):
@@ -456,7 +454,7 @@ def verify_against_oracle(
     if max_n < 3:
         raise OutOfRange(f"verification needs max_n >= 3, got {max_n}")
     if limit is not None and max_n > limit:
-        raise OrderTooLarge(f"census of order {max_n} exceeds the limit {limit}")
+        raise TooLarge(f"census of order {max_n} exceeds the limit {limit}")
     memo = MemoTable()
     checks = 0
     discrepancies = []

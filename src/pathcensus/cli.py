@@ -8,10 +8,12 @@ with every count a decimal string.  Primary results go to stdout, written
 so stdout stays pipe-safe.  A reader that closes the pipe early (``| head``)
 ends the output, not the run: the rest of stdout goes to the null device and
 the exit code is the command's own, with no traceback.  Exit codes: 0 clean,
-1 mathematical finding (oracle discrepancy or observation violation), 2 usage
-error.  The library decides what is a usage error: each ``PathCensusError``
-becomes one ``error:`` line and exit 2.  ``--force`` lifts the library's size
-limits.
+1 mathematical finding (oracle discrepancy, observation violation or a
+``TheoremViolation``), 2 usage error.  The library decides what is a usage
+error: every other ``PathCensusError`` (``ParseError``, ``OutOfRange``,
+``TooLarge``) becomes one ``error:`` line and exit 2; a ``TheoremViolation``
+prints the same line and exits 1.  ``--force`` lifts the library's size
+limits, so a ``TooLarge`` line says to pass it.
 """
 
 import argparse
@@ -28,7 +30,7 @@ from .analysis import (
     verify_against_oracle,
 )
 from .engine import f_value
-from .errors import InvalidOrder, OrderTooLarge, PathCensusError, ScanTooLarge
+from .errors import OutOfRange, PathCensusError, TheoremViolation, TooLarge
 from .types import format_entries, is_symmetric, parse_composition, parse_signed_type
 
 EXIT_OK = 0
@@ -178,7 +180,7 @@ def cmd_eval(args):
 
 def cmd_census(args):
     if args.n < 3:
-        raise InvalidOrder(f"census needs n >= 3, got {args.n}")
+        raise OutOfRange(f"census needs n >= 3, got {args.n}")
     a = parse_signed_type(args.tuple)
     value = str(tt_count(args.n, a))
     key = format_entries(a)
@@ -326,10 +328,9 @@ def main(argv=None) -> int:
     try:
         code, renderers = args.func(args)
     except PathCensusError as exc:
-        if isinstance(exc, (ScanTooLarge, OrderTooLarge)):
-            exc = f"{exc} (pass --force to go further)"
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        hint = " (pass --force to go further)" if isinstance(exc, TooLarge) else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return EXIT_FINDING if isinstance(exc, TheoremViolation) else EXIT_USAGE
     try:
         _write(renderers[args.format]())
     except BrokenPipeError:

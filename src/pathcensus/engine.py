@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from itertools import accumulate
 from math import comb, factorial
 
-from .errors import OutOfRange, UndefinedType
+from .errors import OutOfRange, ParseError
 from .types import compositions, derive_children
 
 __all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
@@ -54,10 +54,10 @@ def _key(c: tuple[int, ...]) -> tuple[int, ...]:
 def _composition(c) -> tuple[int, ...]:
     comp = tuple(c)
     if not comp:
-        raise UndefinedType("path-function of the empty tuple is undefined")
+        raise ParseError("path-function of the empty tuple is undefined")
     for e in comp:
         if not isinstance(e, int) or e < 1:
-            raise UndefinedType(f"not a composition: {comp}")
+            raise ParseError(f"not a composition: {comp}")
     return comp
 
 

@@ -1,41 +1,34 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: one kind per meaning.
+
+- :class:`ParseError`: the input is not a type, whether text or tuple.
+- :class:`OutOfRange`: a size outside its range; also a ``ValueError``.
+- :class:`TooLarge`: a request past a safety limit that ``limit=None``
+  (the CLI's ``--force``) lifts.
+- :class:`TheoremViolation`: a guaranteed identity broke, a bug.
+"""
 
 
 class PathCensusError(Exception):
     """Base class for all library-specific errors."""
 
 
-class UndefinedType(PathCensusError):
-    """A tuple the path-function is undefined on: empty, not a composition,
-    or a single unit block asked for its children."""
-
-
 class ParseError(PathCensusError):
-    """Malformed type input: unparsable text, or a tuple with a zero entry
-    or two same-signed neighbours."""
+    """Not a type: unparsable text, an empty tuple, an entry that is no
+    positive int in a composition, or a zero entry or two same-signed
+    neighbours in a signed type."""
 
 
 class OutOfRange(PathCensusError, ValueError):
-    """A size outside the range its question is defined for (a total or
-    block length below its least value, such as a scan total under 2, or a
-    type whose rank DP would pass the machine's index range); also a
-    ``ValueError``, so callers catching that still work."""
+    """A size outside the range its question is defined for: a total, block
+    length or tournament order below its least value (a scan total under 2,
+    a census order under 3, a unit block asked for its children), a type
+    whose total block length does not fit the tournament order, or a type
+    whose rank DP would pass the machine's index range."""
 
 
-class InvalidOrder(OutOfRange):
-    """Tournament order outside a constructor's legal range."""
-
-
-class OrderTooLarge(PathCensusError):
-    """Brute-force census requested beyond its order limit."""
-
-
-class TypeOrderMismatch(PathCensusError):
-    """Total block length of a type does not fit the tournament order."""
-
-
-class ScanTooLarge(PathCensusError):
-    """Scan requested beyond the configured composition-total limit."""
+class TooLarge(PathCensusError):
+    """A scan, conjecture check or census past its safety limit; passing
+    ``limit=None`` lifts it."""
 
 
 class TheoremViolation(PathCensusError):

@@ -20,12 +20,7 @@ import random
 from math import factorial
 from typing import NamedTuple
 
-from .errors import (
-    InvalidOrder,
-    OrderTooLarge,
-    TheoremViolation,
-    TypeOrderMismatch,
-)
+from .errors import OutOfRange, TheoremViolation, TooLarge
 from .types import canonical_key, check_signed_type
 
 __all__ = [
@@ -65,7 +60,7 @@ def make_tournament(n: int, winners) -> Tournament:
     Every unordered pair must be oriented exactly once.
     """
     if n < 2:
-        raise InvalidOrder(f"a tournament needs at least 2 vertices, got {n}")
+        raise OutOfRange(f"a tournament needs at least 2 vertices, got {n}")
     out = [0] * n
     seen = set()
     for i, j in winners:
@@ -84,14 +79,14 @@ def make_tournament(n: int, winners) -> Tournament:
 def make_transitive(n: int) -> Tournament:
     """The transitive tournament: i beats j iff i < j."""
     if n < 2:
-        raise InvalidOrder(f"a tournament needs at least 2 vertices, got {n}")
+        raise OutOfRange(f"a tournament needs at least 2 vertices, got {n}")
     return Tournament(n, tuple((1 << n) - (1 << i) for i in range(1, n + 1)))
 
 
 def make_nearly_transitive(n: int) -> Tournament:
     """Transitive orientation with the single arc (1, n) reversed to (n, 1)."""
     if n < 3:
-        raise InvalidOrder(f"nearly-transitive needs at least 3 vertices, got {n}")
+        raise OutOfRange(f"nearly-transitive needs at least 3 vertices, got {n}")
     out = list(make_transitive(n).out)
     out[0] ^= 1 << (n - 1)
     out[n - 1] ^= 1
@@ -106,7 +101,7 @@ def make_random(n: int, seed: int) -> Tournament:
     seeded output is stable across releases).
     """
     if n < 2:
-        raise InvalidOrder(f"a tournament needs at least 2 vertices, got {n}")
+        raise OutOfRange(f"a tournament needs at least 2 vertices, got {n}")
     rng = random.Random(seed)
     out = [0] * n
     for i in range(n):  # 0-based here: vertex i + 1 is bit 1 << i
@@ -194,9 +189,9 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
     """
     n = t.n
     if n < 3:
-        raise InvalidOrder(f"census needs at least 3 vertices, got {n}")
+        raise OutOfRange(f"census needs at least 3 vertices, got {n}")
     if limit is not None and n > limit:
-        raise OrderTooLarge(f"census of order {n} exceeds the limit {limit}")
+        raise TooLarge(f"census of order {n} exceeds the limit {limit}")
 
     counts = {}
     for key, value in _tally(t).items():
@@ -214,7 +209,5 @@ def count_type(t: Tournament, a, *, limit: int | None = CENSUS_LIMIT) -> int:
     a = check_signed_type(a)
     total = sum(abs(e) for e in a)
     if total != t.n - 1:
-        raise TypeOrderMismatch(
-            f"type {a} has total block length {total}, need {t.n - 1}"
-        )
+        raise OutOfRange(f"type {a} has total block length {total}, need {t.n - 1}")
     return census(t, limit=limit).counts.get(canonical_key(a), 0)

@@ -14,7 +14,7 @@ a dictionary key.
 
 from collections.abc import Sequence
 
-from .errors import OutOfRange, ParseError, UndefinedType
+from .errors import OutOfRange, ParseError
 
 __all__ = [
     "reverse",
@@ -83,7 +83,7 @@ def derive_children(c: Sequence[int]) -> list[tuple[int, ...]]:
         if e > 1:
             out.append(c[:i] + (e - 1,) + c[i + 1 :])
         elif last == 0:
-            raise UndefinedType("single block of length 1 has no children")
+            raise OutOfRange("single block of length 1 has no children")
         elif i == 0:
             out.append(c[1:])
         elif i == last:

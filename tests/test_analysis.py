@@ -23,12 +23,11 @@ from pathcensus.analysis import (
 )
 from pathcensus.engine import MemoTable, f_two_block, f_value, f_walk
 from pathcensus.errors import (
-    OrderTooLarge,
     OutOfRange,
     ParseError,
     PathCensusError,
-    ScanTooLarge,
-    TypeOrderMismatch,
+    TheoremViolation,
+    TooLarge,
 )
 from pathcensus.oracle import (
     census,
@@ -41,6 +40,7 @@ from pathcensus.oracle import (
 from pathcensus.types import (
     canonical_key,
     compositions,
+    derive_children,
     negate,
     parse_composition,
     signed_lift,
@@ -55,8 +55,14 @@ def test_tt_count_examples():
     assert tt_count(5, (2, -2)) == 3
 
 
+def test_tt_count_refuses_an_odd_symmetric_value(monkeypatch):
+    monkeypatch.setattr(analysis, "f_value", lambda *a, **k: 7)
+    with pytest.raises(TheoremViolation, match=r"symmetric type \(2, -2\) has odd"):
+        tt_count(5, (2, -2))
+
+
 def test_tt_count_rejects_order_mismatch():
-    with pytest.raises(TypeOrderMismatch):
+    with pytest.raises(OutOfRange, match="total block length 2, need 3"):
         tt_count(4, (1, -1))
 
 
@@ -128,7 +134,7 @@ def test_scan_row_count_and_monotonicity():
 
 
 def test_scan_respects_limit():
-    with pytest.raises(ScanTooLarge):
+    with pytest.raises(TooLarge, match="scan of p=12 exceeds the limit 10"):
         scan(12, limit=10)
     scan(6, limit=None)
     with pytest.raises(ValueError):
@@ -332,6 +338,9 @@ def test_conjecture_rejects_tiny_p():
         lambda: make_nearly_transitive(2),
         lambda: make_random(1, 0),
         lambda: make_tournament(1, []),
+        lambda: tt_count(5, (1,)),
+        lambda: count_type(make_transitive(5), (1,)),
+        lambda: derive_children((1,)),
     ],
     ids=[
         "runner_up_pattern",
@@ -347,6 +356,9 @@ def test_conjecture_rejects_tiny_p():
         "make_nearly_transitive",
         "make_random",
         "make_tournament",
+        "tt_count",
+        "count_type",
+        "derive_children",
     ],
 )
 def test_sizes_below_the_range_are_library_errors(call):
@@ -435,20 +447,20 @@ def test_verify_against_oracle_random():
 
 
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, message",
     [
-        (lambda: verify_against_oracle(11), OrderTooLarge),
-        (lambda: verify_against_oracle(11, "nearly"), OrderTooLarge),
-        (lambda: verify_against_oracle(2), OutOfRange),
-        (lambda: verify_against_oracle(2, "random"), OutOfRange),
+        (lambda: verify_against_oracle(11), TooLarge, "census of order 11 exceeds"),
+        (lambda: verify_against_oracle(11, "nearly"), TooLarge, "census of order 11 exceeds"),
+        (lambda: verify_against_oracle(2), OutOfRange, "needs max_n >= 3"),
+        (lambda: verify_against_oracle(2, "random"), OutOfRange, "needs max_n >= 3"),
     ],
     ids=["oracle-11", "nearly-11", "oracle-2", "random-2"],
 )
-def test_verify_refuses_before_any_census(monkeypatch, call, error):
+def test_verify_refuses_before_any_census(monkeypatch, call, error, message):
     calls = []
     real = analysis.census
     monkeypatch.setattr(analysis, "census", lambda t, **k: calls.append(t) or real(t, **k))
-    with pytest.raises(error):
+    with pytest.raises(error, match=message):
         call()
     assert calls == []
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pathcensus import cli
+from pathcensus import analysis, cli
 from pathcensus.analysis import (
     ConjectureVerdict,
     Discrepancy,
@@ -403,6 +403,14 @@ def test_verify_discrepancy_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "4")
     assert code == 1
     assert "n=4 type=3 oracle=1 expected=2" in out
+
+
+def test_broken_guarantee_exits_one(capsys, monkeypatch):
+    # a TheoremViolation is a bug found, not bad input: exit 1, not 2
+    monkeypatch.setattr(analysis, "f_value", lambda *a, **k: 7)
+    code, out, err = run(capsys, "census", "-n", "5", "--", "2,-2")
+    assert (code, out) == (1, "")
+    assert err == "error: symmetric type (2, -2) has odd path-function value 7\n"
 
 
 # JSON counts ----------------------------------------------------------------------

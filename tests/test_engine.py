@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathcensus.analysis import check_conjecture, scan
 from pathcensus.engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
-from pathcensus.errors import UndefinedType
+from pathcensus.errors import ParseError
 from pathcensus.types import compositions, signed_lift
 
 comps = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
@@ -222,9 +222,9 @@ def test_palindromic_even_length_values_are_even():
 
 def test_rejects_non_compositions():
     for bad in [(), (0,), (1, 0), (-1,), (1, -2)]:
-        with pytest.raises(UndefinedType):
+        with pytest.raises(ParseError, match="empty tuple|not a composition"):
             f_value(bad)
-        with pytest.raises(UndefinedType):
+        with pytest.raises(ParseError, match="empty tuple|not a composition"):
             f_recurrence(bad)
 
 

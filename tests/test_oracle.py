@@ -6,8 +6,9 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from pathcensus import oracle
 from pathcensus.analysis import tt_count
-from pathcensus.errors import InvalidOrder, OrderTooLarge, TypeOrderMismatch
+from pathcensus.errors import OutOfRange, TheoremViolation, TooLarge
 from pathcensus.oracle import (
     census,
     complement,
@@ -44,7 +45,7 @@ def test_transitive_arcs():
 
 
 def test_transitive_rejects_tiny_order():
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(OutOfRange, match="needs at least 2 vertices, got 1"):
         make_transitive(1)
 
 
@@ -55,7 +56,7 @@ def test_nearly_transitive_reverses_the_long_arc():
     for n in range(3, 11):  # and no other arc differs from the transitive one
         flipped = {(1, n), (n, 1)}
         assert set(arcs(make_nearly_transitive(n))) ^ set(arcs(make_transitive(n))) == flipped
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(OutOfRange, match="needs at least 3 vertices, got 2"):
         make_nearly_transitive(2)
 
 
@@ -151,9 +152,9 @@ def test_census_tt5_symmetric_two_block():
 
 
 def test_census_rejects_small_and_huge_orders():
-    with pytest.raises(InvalidOrder):
+    with pytest.raises(OutOfRange, match="census needs at least 3 vertices, got 2"):
         census(make_transitive(2))
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(TooLarge, match="census of order 11 exceeds the limit 10"):
         census(make_transitive(11))
 
 
@@ -219,7 +220,7 @@ def test_two_block_count_is_a_binomial():
 
 
 def test_count_type_rejects_order_mismatch():
-    with pytest.raises(TypeOrderMismatch):
+    with pytest.raises(OutOfRange, match="total block length 2, need 3"):
         count_type(make_transitive(4), (1, -1))
 
 
@@ -262,6 +263,12 @@ def test_every_accumulated_count_was_even():
     # census would raise if a raw tally came out odd; run a few shapes
     for seed in range(3):
         census(make_random(5, seed))
+
+
+def test_census_refuses_an_odd_tally(monkeypatch):
+    monkeypatch.setattr(oracle, "_tally", lambda t: {(1, -1): 2, (2,): 3})
+    with pytest.raises(TheoremViolation, match=r"odd tally 3 for type \(2,\) before halving"):
+        census(make_transitive(3))
 
 
 def test_tournament_is_hashable_and_frozen():

@@ -5,7 +5,7 @@ from collections.abc import Iterator, Sequence
 import pytest
 from hypothesis import given, strategies as st
 
-from pathcensus.errors import ParseError, UndefinedType
+from pathcensus.errors import OutOfRange, ParseError
 from pathcensus.types import (
     canonical_key,
     compositions,
@@ -43,7 +43,7 @@ def normalize(entries: Sequence[int]) -> tuple[int, ...]:
     its two neighbours (which carry the same sign in an alternating tuple).
     Repeats until no zero remains.
 
-    Raises :class:`UndefinedType` if the tuple reduces to nothing.
+    Raises :class:`ParseError` if the tuple reduces to nothing.
     """
     t = list(entries)
     while t:
@@ -59,7 +59,7 @@ def normalize(entries: Sequence[int]) -> tuple[int, ...]:
             break
         t[i - 1 : i + 2] = [t[i - 1] + t[i + 1]]
     if not t:
-        raise UndefinedType("type tuple reduced to nothing; value undefined")
+        raise ParseError("type tuple reduced to nothing; value undefined")
     return tuple(t)
 
 
@@ -102,7 +102,7 @@ def test_normalize_signed_merge_keeps_sign():
 
 @pytest.mark.parametrize("bad", [(), (0,), (0, 0), (0, 0, 0)])
 def test_normalize_undefined_on_nothing(bad):
-    with pytest.raises(UndefinedType):
+    with pytest.raises(ParseError, match="reduced to nothing"):
         normalize(bad)
 
 
@@ -110,7 +110,7 @@ def test_normalize_undefined_on_nothing(bad):
 def test_normalize_is_a_projection(raw):
     try:
         once = normalize(raw)
-    except UndefinedType:
+    except ParseError:
         return
     assert normalize(once) == once
     assert 0 not in once
@@ -196,7 +196,7 @@ def test_derive_children_examples():
 
 
 def test_derive_children_of_unit_block_is_undefined():
-    with pytest.raises(UndefinedType):
+    with pytest.raises(OutOfRange, match="single block of length 1 has no children"):
         derive_children((1,))
 
 
