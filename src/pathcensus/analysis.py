@@ -145,18 +145,13 @@ def runner_up_pattern(p: int) -> tuple[int, ...]:
     return (1, 2) + (1,) * (p - 3)
 
 
-def check_conjecture(
-    p: int,
-    memo: MemoTable | None = None,
-    *,
-    limit: int | None = DEFAULT_SCAN_LIMIT,
-) -> ConjectureVerdict:
-    """Judge the three maximality observations at one total ``p``.
-
-    The verdict for ``p`` from :func:`check_conjectures`, which judges every
-    smaller total on the way; the pruning keeps that to milliseconds.
-    """
-    return check_conjectures(p, memo, limit=limit)[-1]
+def check_conjecture(p: int, memo: MemoTable | None = None) -> ConjectureVerdict:
+    """Judge the three maximality observations at one total ``p``: the last
+    verdict of :func:`check_conjectures`, whose pruning judges every smaller
+    total on the way in milliseconds.  A ``p`` past ``DEFAULT_SCAN_LIMIT``
+    raises :class:`TooLarge`; ``check_conjectures(p, limit=None)[-1]`` goes
+    further."""
+    return check_conjectures(p, memo)[-1]
 
 
 def check_conjectures(
@@ -455,14 +450,13 @@ def verify_against_oracle(
         raise OutOfRange(f"verification needs max_n >= 3, got {max_n}")
     if limit is not None and max_n > limit:
         raise TooLarge(f"census of order {max_n} exceeds the limit {limit}")
-    memo = MemoTable()
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):
         if kind == "transitive":
             cen = census(make_transitive(n), limit=limit)
             lifts = (signed_lift(c, lead) for c in compositions(n - 1) for lead in (True, False))
-            expected = {key: tt_count(n, key, memo) for key in set(map(canonical_key, lifts))}
+            expected = {key: tt_count(n, key) for key in set(map(canonical_key, lifts))}
             checks += _compare(n, cen.counts, expected, "transitive-census", discrepancies)
             continue
         t = make_nearly_transitive(n) if kind == "nearly" else make_random(n, seed)

@@ -32,8 +32,8 @@ from collections.abc import Iterator
 from itertools import accumulate
 from math import comb, factorial
 
-from .errors import OutOfRange, ParseError
-from .types import compositions, derive_children
+from .errors import OutOfRange
+from .types import check_composition, compositions, derive_children
 
 __all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
 
@@ -49,16 +49,6 @@ class MemoTable(dict):
 def _key(c: tuple[int, ...]) -> tuple[int, ...]:
     r = c[::-1]
     return c if c <= r else r
-
-
-def _composition(c) -> tuple[int, ...]:
-    comp = tuple(c)
-    if not comp:
-        raise ParseError("path-function of the empty tuple is undefined")
-    for e in comp:
-        if not isinstance(e, int) or e < 1:
-            raise ParseError(f"not a composition: {comp}")
-    return comp
 
 
 def _rank_dp(comp: tuple[int, ...]) -> int:
@@ -94,7 +84,7 @@ def f_value(c, memo: MemoTable | None = None) -> int:
     Pass a shared ``memo`` to reuse results across calls.  The result does
     not depend on evaluation order or on what the memo already contains.
     """
-    comp = _composition(c)
+    comp = check_composition(c)
     if memo is None:
         return _rank_dp(comp)
     key = _key(comp)
@@ -162,7 +152,7 @@ def f_recurrence(c, memo: MemoTable | None = None) -> int:
     composition in ``memo``.  Exponential in the total; the tests compare
     :func:`f_value` and :func:`f_walk` against it.
     """
-    comp = _composition(c)
+    comp = check_composition(c)
     if memo is None:
         memo = MemoTable()
     stack = [comp]

@@ -14,8 +14,8 @@ class PathCensusError(Exception):
 
 class ParseError(PathCensusError):
     """Not a type: unparsable text, an empty tuple, an entry that is no
-    positive int in a composition, or a zero entry or two same-signed
-    neighbours in a signed type."""
+    int (a ``bool`` is not one), a composition entry below 1, or a zero
+    entry or two same-signed neighbours in a signed type."""
 
 
 class OutOfRange(PathCensusError, ValueError):

@@ -97,8 +97,10 @@ def make_random(n: int, seed: int) -> Tournament:
     """Uniformly random orientation, a pure function of ``(n, seed)``.
 
     Pairs are visited in lexicographic order and oriented by one bit from a
-    Mersenne-Twister stream seeded with ``seed`` (the stdlib generator, whose
-    seeded output is stable across releases).
+    Mersenne-Twister stream seeded with ``seed``.  Python promises a stable
+    seeded ``random()`` only, not ``getrandbits``, so
+    ``tests/test_oracle.py::test_make_random_stream_is_stable`` pins this
+    stream; CI runs it on Python 3.10, 3.11 and 3.12.
     """
     if n < 2:
         raise OutOfRange(f"a tournament needs at least 2 vertices, got {n}")

@@ -25,6 +25,7 @@ __all__ = [
     "compositions",
     "signed_lift",
     "unsigned",
+    "check_composition",
     "check_signed_type",
     "parse_composition",
     "parse_signed_type",
@@ -135,13 +136,27 @@ def _parse_entries(text: str) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def check_composition(c: Sequence[int]) -> tuple[int, ...]:
+    """``c`` as a tuple, once it is nonempty and every entry is a positive
+    ``int``; raises :class:`ParseError` otherwise."""
+    c = tuple(c)
+    if not c:
+        raise ParseError("path-function of the empty tuple is undefined")
+    for e in c:
+        if type(e) is not int:
+            raise ParseError(f"not an integer entry: {e!r}")
+        if e < 1:
+            raise ParseError(f"block lengths must be positive, got {e}")
+    return c
+
+
 def check_signed_type(a: Sequence[int]) -> tuple[int, ...]:
     """``a`` as a tuple, once every entry is a nonzero ``int`` and
     consecutive entries have opposite signs; raises :class:`ParseError`
     otherwise."""
     a = tuple(a)
     for e in a:
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise ParseError(f"not an integer entry: {e!r}")
         if e == 0:
             raise ParseError("zero entries are not allowed in a signed type")
@@ -153,11 +168,7 @@ def check_signed_type(a: Sequence[int]) -> tuple[int, ...]:
 
 def parse_composition(text: str) -> tuple[int, ...]:
     """Parse ``"1,2,1"`` into a composition.  Rejects zeros and negatives."""
-    entries = _parse_entries(text)
-    for e in entries:
-        if e < 1:
-            raise ParseError(f"block lengths must be positive, got {e}")
-    return entries
+    return check_composition(_parse_entries(text))
 
 
 def parse_signed_type(text: str) -> tuple[int, ...]:

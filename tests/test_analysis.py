@@ -72,11 +72,13 @@ def test_tt_count_rejects_order_mismatch():
     ids=["tt_count", "count_type"],
 )
 @pytest.mark.parametrize(
-    "bad", [(1, 1), (-1, -1), (2, 0), (1, 0, -1), (2.0,), (1.5, -0.5), ("1", "-1")]
+    "bad",
+    [(1, 1), (-1, -1), (2, 0), (1, 0, -1), (2.0,), (1.5, -0.5), ("1", "-1"), (True, -1)],
 )
 def test_malformed_signed_types_are_refused_by_both_counts(count, bad):
     # each tuple has total 2, so order 3 fits; a zero, a repeated sign or an
-    # entry that is no int describes no path type and must not be counted
+    # entry that is no int (a bool included) describes no path type and must
+    # not be counted
     with pytest.raises(ParseError):
         count(bad)
 

@@ -1,6 +1,7 @@
 """Path-function engine: golden values, independent oracles, DP vs. recurrence."""
 
 import random
+import re
 from itertools import permutations
 from math import comb, factorial
 from operator import itemgetter
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from pathcensus.analysis import check_conjecture, scan
 from pathcensus.engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
 from pathcensus.errors import ParseError
-from pathcensus.types import compositions, signed_lift
+from pathcensus.types import compositions, parse_composition, signed_lift
 
 comps = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
 
@@ -221,11 +222,29 @@ def test_palindromic_even_length_values_are_even():
 
 
 def test_rejects_non_compositions():
-    for bad in [(), (0,), (1, 0), (-1,), (1, -2)]:
-        with pytest.raises(ParseError, match="empty tuple|not a composition"):
+    for bad, message in [
+        ((), "path-function of the empty tuple is undefined"),
+        ((0,), "block lengths must be positive, got 0"),
+        ((1, 0), "block lengths must be positive, got 0"),
+        ((-1,), "block lengths must be positive, got -1"),
+        ((1, -2), "block lengths must be positive, got -2"),
+        ((True, 2), "not an integer entry: True"),
+        ((2, True), "not an integer entry: True"),
+    ]:
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ParseError, match=exact):
             f_value(bad)
-        with pytest.raises(ParseError, match="empty tuple|not a composition"):
+        with pytest.raises(ParseError, match=exact):
             f_recurrence(bad)
+
+
+def test_tuple_and_text_compositions_fail_alike():
+    for bad, text in [((0, 1), "0,1"), ((1, -2), "1,-2")]:
+        with pytest.raises(ParseError) as from_tuple:
+            f_value(bad)
+        with pytest.raises(ParseError) as from_text:
+            parse_composition(text)
+        assert str(from_tuple.value) == str(from_text.value)
 
 
 # determinism ---------------------------------------------------------------------
