@@ -62,7 +62,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=positive_int,
         default=1,
-        help="accepted for compatibility (N >= 1); the census runs in one process",
+        help="accepted for compatibility (N >= 1); every command runs in one "
+        "process, so results are the same for any N",
     )
     parser.add_argument(
         "--force",

@@ -33,7 +33,7 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .errors import OutOfRange
-from .types import check_composition, compositions, derive_children
+from .types import _check_total, check_composition, compositions, derive_children
 
 __all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
 
@@ -111,8 +111,7 @@ def f_walk(p: int) -> Iterator[tuple[tuple[int, ...], int]]:
     reversed compositions in ascending order; F(c) = F(reversed c) makes
     them the values of the compositions in ascending order.
     """
-    if p < 1:
-        raise OutOfRange(f"total must be positive, got {p}")
+    _check_total(p)
     # a field never carries, as no count exceeds (p+1)!; at least 8 bytes,
     # so up to p = 19 a level's fields decode in one cast
     size = max(8, (factorial(p + 1).bit_length() + 7) // 8)

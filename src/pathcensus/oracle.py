@@ -7,21 +7,23 @@ traces a Hamiltonian oriented path, whose type is read off the up/down word
 of its arcs.  The census counts all n! orders at once with a
 Held–Karp subset DP over (visited set, last vertex) states; each state holds
 one integer that packs the counts of every up/down word into fixed-width
-fields (see :func:`_tally`), so the DP costs n(n-1)·2^(n-2) big-int adds.
-The orders are then tallied by the canonical type key of their word.  Each
-path is met exactly twice (once per direction) and both meetings land on
-the same canonical key, so raw tallies are halved after an evenness check.
+fields (see :func:`_order_counts`), so the DP costs n(n-1)·2^(n-2) big-int
+adds.  Each word's orders are then tallied under the canonical key of the
+signed type that ``signed_lift`` builds from its run lengths.  Each path is
+met exactly twice (once per direction) and both meetings land on the same
+canonical key, so raw tallies are halved after an evenness check.
 
 Everything here is independent of the path-function engine on purpose: the
 two routes to the same counts check each other.
 """
 
 import random
+from itertools import groupby
 from math import factorial
 from typing import NamedTuple
 
 from .errors import OutOfRange, TheoremViolation, TooLarge
-from .types import canonical_key, check_signed_type
+from .types import canonical_key, check_signed_type, signed_lift
 
 __all__ = [
     "CENSUS_LIMIT",
@@ -131,17 +133,18 @@ class TypeCensus(NamedTuple):
         return sum(self.counts.values())
 
 
-def _tally(t: Tournament) -> dict[tuple[int, ...], int]:
-    """Raw tallies of all n! vertex orders, keyed by canonical type.
+def _order_counts(t: Tournament) -> list[int]:
+    """Number of vertex orders of ``t`` with each up/down word: entry ``w``
+    of the 2^(n-1) counts is word ``w`` (bit i set iff arc i ascends).
 
     A subset DP over states (visited mask, last vertex) that packs every
-    up/down word into one integer: field ``w`` of a state's int, ``width``
-    bits wide, holds the number of vertex orders reaching that state whose
-    word is ``w`` (bit i set iff arc i ascends).  Extending by one vertex
-    at arc k adds the parent's int to the child, shifted by ``width << k``
-    when the arc ascends, so one big-int add carries every word at once:
-    n(n-1)·2^(n-2) adds in all.  Every field counts fewer than n! orders
-    and is wide enough to hold n!, so no field ever carries into the next.
+    word into one integer: field ``w`` of a state's int, ``width`` bits
+    wide, holds the number of vertex orders reaching that state whose word
+    is ``w``.  Extending by one vertex at arc k adds the parent's int to
+    the child, shifted by ``width << k`` when the arc ascends, so one
+    big-int add carries every word at once: n(n-1)·2^(n-2) adds in all.
+    Every field counts fewer than n! orders and is wide enough to hold n!,
+    so no field ever carries into the next.
     """
     n = t.n
     # vertex v is bit 1 << (v - 1); beats[v] is its out-neighbour mask, padded
@@ -166,28 +169,14 @@ def _tally(t: Tournament) -> dict[tuple[int, ...], int]:
         frontier = nxt
 
     raw = sum(frontier.values()).to_bytes(nbytes << (n - 1), "little")
-    counts: dict[tuple[int, ...], int] = {}
-    for word in range(1 << (n - 1)):
-        orders = int.from_bytes(raw[word * nbytes : (word + 1) * nbytes], "little")
-        if not orders:
-            continue
-        entries: list[int] = []
-        for i in range(n - 1):
-            step = 1 if word >> i & 1 else -1
-            if entries and (entries[-1] > 0) == (step > 0):
-                entries[-1] += step
-            else:
-                entries.append(step)
-        key = canonical_key(entries)
-        counts[key] = counts.get(key, 0) + orders
-    return counts
+    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 
 def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
     """Count every Hamiltonian oriented path of ``t``, grouped by type.
 
-    Tallies all n! vertex orders in one process by a packed subset DP
-    (see :func:`_tally`), then halves each tally.  The total equals n!/2.
+    Tallies the order counts of :func:`_order_counts` by the canonical key
+    of each word's signed type, then halves each tally.  The total equals n!/2.
     """
     n = t.n
     if n < 3:
@@ -195,12 +184,16 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
     if limit is not None and n > limit:
         raise TooLarge(f"census of order {n} exceeds the limit {limit}")
 
-    counts = {}
-    for key, value in _tally(t).items():
+    counts: dict[tuple[int, ...], int] = {}
+    for word, orders in enumerate(_order_counts(t)):
+        if orders:
+            letters = format(word, f"0{n - 1}b")[::-1]  # arc 0 first
+            runs = [len(list(run)) for _, run in groupby(letters)]
+            key = canonical_key(signed_lift(runs, bool(word & 1)))
+            counts[key] = counts.get(key, 0) + orders
+    for key, value in counts.items():
         if value % 2:
-            raise TheoremViolation(
-                f"odd tally {value} for type {key} before halving"
-            )
+            raise TheoremViolation(f"odd tally {value} for type {key} before halving")
         counts[key] = value // 2
     return TypeCensus(counts=counts)
 

@@ -12,6 +12,7 @@ signed type ``a`` and ``negate(reverse(a))`` describe the same path set;
 a dictionary key.
 """
 
+import sys
 from collections.abc import Sequence
 
 from .errors import OutOfRange, ParseError
@@ -109,12 +110,17 @@ def signed_lift(c: Sequence[int], leading_positive: bool = True) -> tuple[int, .
     return tuple(out)
 
 
+def _check_total(total: int) -> None:
+    # a total's 2**(total-1) compositions must fit the machine's index range
+    if not 1 <= total <= sys.maxsize.bit_length():
+        raise OutOfRange(f"total must be 1..{sys.maxsize.bit_length()}, got {total}")
+
+
 def compositions(total: int) -> list[tuple[int, ...]]:
     """All ordered tuples of positive integers summing to ``total`` (there
     are ``2**(total-1)``), in descending lexicographic order: ``(total,)``
     first, the all-ones tuple last."""
-    if total < 1:
-        raise OutOfRange(f"total must be positive, got {total}")
+    _check_total(total)
     comps = [(1,)]
     for _ in range(total - 1):
         # one more unit: each composition with its first entry grown, then

@@ -30,6 +30,7 @@ from pathcensus.errors import (
     TooLarge,
 )
 from pathcensus.oracle import (
+    TypeCensus,
     census,
     count_type,
     make_nearly_transitive,
@@ -480,6 +481,57 @@ def test_verify_check_totals_at_n9():
         report = verify_against_oracle(9, kind, seed)
         assert (report.kind, report.checks, report.ok) == (kind, checks, True)
         assert report.seed == (seed if kind == "random" else None)
+
+
+def doctor_census(monkeypatch, change):
+    """Make verify see every census after `change(n, counts)` edits it."""
+    real = analysis.census
+
+    def doctored(t, **kwargs):
+        counts = dict(real(t, **kwargs).counts)
+        change(t.n, counts)
+        return TypeCensus(counts)
+
+    monkeypatch.setattr(analysis, "census", doctored)
+
+
+def test_verify_reports_a_census_that_misses_the_partition(monkeypatch, capsys):
+    # one directed path too many, in the census and in its complement's: only
+    # the totals n!/2 = 3 and 12 break
+    def one_more(n, counts):
+        counts[(n - 1,)] += 1
+
+    doctor_census(monkeypatch, one_more)
+    report = verify_against_oracle(4, "random", seed=0)
+    assert report.ok is False
+    assert report.discrepancies == [
+        Discrepancy(3, "(total)", 4, 3, "partition"),
+        Discrepancy(4, "(total)", 13, 12, "partition"),
+    ]
+    code = cli.main(["verify", "--max-n", "4", "--kind", "random"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[1:] == [
+        "n=3 type=(total) oracle=4 expected=3 (partition)",
+        "n=4 type=(total) oracle=13 expected=12 (partition)",
+    ]
+
+
+def test_verify_reports_a_wrong_nearly_directed_count(monkeypatch):
+    # one directed path moved to another type: the total holds, and the
+    # directed counts 2^(n-2) + 1 = 3 and 5 read one less
+    def moved(n, counts):
+        counts[(n - 1,)] -= 1
+        other = canonical_key((1, -(n - 2)))
+        counts[other] = counts.get(other, 0) + 1
+
+    doctor_census(monkeypatch, moved)
+    report = verify_against_oracle(4, "nearly")
+    assert report.ok is False
+    assert report.discrepancies == [
+        Discrepancy(3, "2", 2, 3, "directed-count"),
+        Discrepancy(4, "3", 4, 5, "directed-count"),
+    ]
 
 
 # reports as the CLI renders them -----------------------------------------------------

@@ -168,6 +168,15 @@ def test_rank_vectors_past_the_index_range_are_usage_errors(arg):
 
 # scan -----------------------------------------------------------------------
 
+
+@pytest.mark.parametrize("command", ["scan", "bench"])
+@pytest.mark.parametrize("p", ["64", "99999999999999999999"])
+def test_a_total_past_the_index_range_is_a_usage_error(capsys, command, p):
+    # --force lifts the safety limit, not the machine's index range
+    code, out, err = run(capsys, command, "-p", p, "--force")
+    assert (code, out) == (2, "")
+    assert err == f"error: total must be 1..{sys.maxsize.bit_length()}, got {p}\n"
+
 def test_scan_csv_rows(capsys):
     code, out, _ = run(capsys, "scan", "-p", "3", "--format", "csv")
     assert code == 0

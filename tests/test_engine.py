@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathcensus.analysis import check_conjecture, scan
 from pathcensus.engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
-from pathcensus.errors import ParseError
+from pathcensus.errors import OutOfRange, ParseError
 from pathcensus.types import compositions, parse_composition, signed_lift
 
 comps = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
@@ -106,6 +106,13 @@ def test_walk_values_every_composition_of_every_total_once():
         assert len(comps) == len(set(comps)) == 2 ** (p - 1), p
         assert sorted(comps) == sorted(compositions(p)), p
         assert all(v == f_value(c) for c, v in rows), p
+
+
+@pytest.mark.parametrize("p", [64, 10**20])
+def test_walk_refuses_a_total_past_the_index_range(p):
+    # refused at the call, before the first level's vector or (p+1)!
+    with pytest.raises(OutOfRange, match=rf"total must be 1\.\.\d+, got {p}"):
+        f_walk(p)
 
 
 def test_walk_yields_compositions_in_ascending_order():

@@ -266,7 +266,8 @@ def test_every_accumulated_count_was_even():
 
 
 def test_census_refuses_an_odd_tally(monkeypatch):
-    monkeypatch.setattr(oracle, "_tally", lambda t: {(1, -1): 2, (2,): 3})
+    # words 0 (down, down) and 3 (up, up) both fold into (2,): 1 + 2 orders
+    monkeypatch.setattr(oracle, "_order_counts", lambda t: [1, 2, 0, 2])
     with pytest.raises(TheoremViolation, match=r"odd tally 3 for type \(2,\) before halving"):
         census(make_transitive(3))
 

@@ -297,6 +297,13 @@ def test_compositions_rejects_nonpositive():
         list(compositions(0))
 
 
+@pytest.mark.parametrize("total", [64, 10**20])
+def test_compositions_refuses_a_total_past_the_index_range(total):
+    # 2**63 compositions pass sys.maxsize on 64-bit: refused before any is made
+    with pytest.raises(OutOfRange, match=rf"total must be 1\.\.\d+, got {total}"):
+        compositions(total)
+
+
 # parsing ----------------------------------------------------------------------
 
 def test_parse_composition():
