@@ -1,17 +1,19 @@
 """Ground truth on small tournaments, by counting vertex orders.
 
-A tournament is a complete orientation of K_n on vertices 1..n, held as
-one out-neighbour bitmask per vertex: the census steps on those masks as
-they are, and :meth:`Tournament.beats` reads one arc.  Every vertex order
-traces a Hamiltonian oriented path, whose type is read off the up/down word
-of its arcs.  The census counts all n! orders at once with a
-Held–Karp subset DP over (visited set, last vertex) states; each state holds
-one integer that packs the counts of every up/down word into fixed-width
-fields (see :func:`_order_counts`), so the DP costs n(n-1)·2^(n-2) big-int
-adds.  Each word's orders are then tallied under the canonical key of the
-signed type that ``signed_lift`` builds from its run lengths.  Each path is
-met exactly twice (once per direction) and both meetings land on the same
-canonical key, so raw tallies are halved after an evenness check.
+A tournament is a complete orientation of K_n on vertices 1..n, held as one
+out-neighbour bitmask per vertex: the census steps on those masks as they
+are, and :meth:`Tournament.beats` reads one arc.  Each builder lists its
+arcs, and :func:`make_tournament`, the one constructor, checks them and
+builds the masks.  Every vertex order traces a Hamiltonian oriented path,
+whose type is read off the up/down word of its arcs.  The census counts all
+n! orders at once with a Held–Karp subset DP over (visited set, last
+vertex) states; each state holds one integer that packs the counts of every
+up/down word into fixed-width fields (see :func:`_order_counts`), so the DP
+costs n(n-1)·2^(n-2) big-int adds.  Each word's orders are then tallied
+under the canonical key of the signed type that ``signed_lift`` builds from
+its run lengths.  Each path is met exactly twice (once per direction) and
+both meetings land on the same canonical key, so raw tallies are halved
+after an evenness check.
 
 Everything here is independent of the path-function engine on purpose: the
 two routes to the same counts check each other.
@@ -56,43 +58,42 @@ class Tournament(NamedTuple):
         return bool(self.out[i - 1] >> (j - 1) & 1)
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Every pair i < j of 1..n, in lexicographic order."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
 def make_tournament(n: int, winners) -> Tournament:
     """Build a tournament from an explicit arc list ``(winner, loser)``.
 
-    Every unordered pair must be oriented exactly once.
+    Labels are ``int`` in 1..n, and every unordered pair must be oriented
+    exactly once.
     """
     if n < 2:
         raise OutOfRange(f"a tournament needs at least 2 vertices, got {n}")
     out = [0] * n
-    seen = set()
     for i, j in winners:
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        if type(i) is not int or type(j) is not int or not (1 <= i <= n and 1 <= j <= n) or i == j:
             raise ValueError(f"bad arc ({i}, {j}) for order {n}")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ValueError(f"pair {pair} oriented twice")
-        seen.add(pair)
+        if (out[i - 1] >> (j - 1) | out[j - 1] >> (i - 1)) & 1:
+            raise ValueError(f"pair {(min(i, j), max(i, j))} oriented twice")
         out[i - 1] |= 1 << (j - 1)
-    if len(seen) != n * (n - 1) // 2:
-        raise ValueError(f"{n * (n - 1) // 2 - len(seen)} pairs left unoriented")
+    missing = n * (n - 1) // 2 - sum(row.bit_count() for row in out)
+    if missing:
+        raise ValueError(f"{missing} pairs left unoriented")
     return Tournament(n, tuple(out))
 
 
 def make_transitive(n: int) -> Tournament:
     """The transitive tournament: i beats j iff i < j."""
-    if n < 2:
-        raise OutOfRange(f"a tournament needs at least 2 vertices, got {n}")
-    return Tournament(n, tuple((1 << n) - (1 << i) for i in range(1, n + 1)))
+    return make_tournament(n, _pairs(n))
 
 
 def make_nearly_transitive(n: int) -> Tournament:
     """Transitive orientation with the single arc (1, n) reversed to (n, 1)."""
     if n < 3:
         raise OutOfRange(f"nearly-transitive needs at least 3 vertices, got {n}")
-    out = list(make_transitive(n).out)
-    out[0] ^= 1 << (n - 1)
-    out[n - 1] ^= 1
-    return Tournament(n, tuple(out))
+    return make_tournament(n, [(n, 1) if pair == (1, n) else pair for pair in _pairs(n)])
 
 
 def make_random(n: int, seed: int) -> Tournament:
@@ -104,24 +105,13 @@ def make_random(n: int, seed: int) -> Tournament:
     ``tests/test_oracle.py::test_make_random_stream_is_stable`` pins this
     stream; CI runs it on Python 3.10, 3.11 and 3.12.
     """
-    if n < 2:
-        raise OutOfRange(f"a tournament needs at least 2 vertices, got {n}")
     rng = random.Random(seed)
-    out = [0] * n
-    for i in range(n):  # 0-based here: vertex i + 1 is bit 1 << i
-        for j in range(i + 1, n):
-            if rng.getrandbits(1):
-                out[i] |= 1 << j
-            else:
-                out[j] |= 1 << i
-    return Tournament(n, tuple(out))
+    return make_tournament(n, [(i, j) if rng.getrandbits(1) else (j, i) for i, j in _pairs(n)])
 
 
 def complement(t: Tournament) -> Tournament:
     """Every arc reversed; an involution."""
-    everyone = (1 << t.n) - 1
-    # each vertex now beats everyone it lost to, and still not itself
-    return Tournament(t.n, tuple(everyone ^ row ^ (1 << v) for v, row in enumerate(t.out)))
+    return make_tournament(t.n, [(j, i) if t.beats(i, j) else (i, j) for i, j in _pairs(t.n)])
 
 
 class TypeCensus(NamedTuple):

@@ -390,6 +390,11 @@ def test_property_suite_clean_at_total_12():
     assert report.family("printed_relations").checked == 23
 
 
+def test_property_suite_family_refuses_an_unknown_name():
+    with pytest.raises(KeyError):
+        run_property_suite(6).family("no_such_family")
+
+
 @pytest.mark.parametrize(
     "limit,counts",
     [(12, [66, 506, 219, 1210, 1210, 80, 23]), (16, [120, 1240, 559, 4200, 4200, 336, 23])],

@@ -220,6 +220,23 @@ def test_all_ones_match_alternating_permutation_counts():
         assert f_value((1,) * p, memo) == zigzag[p + 1], p
 
 
+def test_runner_up_patterns_in_closed_form():
+    # E_n = zigzag[n]: F(2,1^(p-2)) and F(1,2,1^(p-3)) from alternating counts
+    e = boustrophedon_counts(121)
+    memo = MemoTable()
+    for p in range(3, 121):
+        assert f_value((2,) + (1,) * (p - 2), memo) == (p + 1) * e[p] - e[p + 1], p
+        want = comb(p + 1, 2) * e[p - 1] - (p + 1) * e[p] + e[p + 1]
+        assert f_value((1, 2) + (1,) * (p - 3), memo) == want, p
+
+
+def test_runner_up_closed_form_exceeds_half_the_all_ones_value():
+    # 2·F(1,2,1^(p-3)) > F(1^p) = E_(p+1), exactly, from the closed form
+    e = boustrophedon_counts(1001)
+    for p in range(3, 1001):
+        assert 2 * (comb(p + 1, 2) * e[p - 1] - (p + 1) * e[p] + e[p + 1]) > e[p + 1], p
+
+
 def test_palindromic_even_length_values_are_even():
     memo = MemoTable()
     for total in range(2, 11, 2):
@@ -291,6 +308,11 @@ def test_memo_shares_reversed_keys():
     for p in range(3, 19):
         check_conjecture(p, memo)
     assert len(memo) == 16
+
+
+def test_recurrence_without_a_memo_matches_the_dp():
+    for c in [(1,), (2, 1), (1, 1, 1), (2, 3, 2), (1, 2, 1, 1), (3, 1, 4)]:
+        assert f_recurrence(c) == f_value(c), c
 
 
 def test_stored_values_satisfy_the_recurrence():

@@ -1,6 +1,6 @@
 """Vertex-order census: builders, tallies, invariants."""
 
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 
 import pytest
@@ -77,6 +77,14 @@ def test_make_tournament_validates():
         make_tournament(3, [(1, 2)])
     with pytest.raises(ValueError):
         make_tournament(3, [(1, 1), (1, 3), (2, 3)])
+
+
+def test_make_tournament_refuses_labels_that_are_not_int():
+    for bad in ((1.0, 2), ("1", 2), (True, 2)):
+        with pytest.raises(ValueError, match=r"^bad arc \(.*\) for order 3$"):
+            make_tournament(3, [bad, (1, 3), (2, 3)])
+        with pytest.raises(ValueError, match=r"^bad arc \(.*\) for order 3$"):
+            make_tournament(3, [(1, 3), (2, 3), bad[::-1]])
 
 
 def test_complement_is_an_involution():
@@ -270,6 +278,25 @@ def test_census_refuses_an_odd_tally(monkeypatch):
     monkeypatch.setattr(oracle, "_order_counts", lambda t: [1, 2, 0, 2])
     with pytest.raises(TheoremViolation, match=r"odd tally 3 for type \(2,\) before halving"):
         census(make_transitive(3))
+
+
+def test_word_parity_and_presence_on_every_tournament_of_orders_4_and_5():
+    # Cited, not proved here: Forcade (1973) gives each up/down word's order
+    # count one parity over all tournaments of an order; Havet and Thomassé
+    # (2000) find every path type in every tournament, except antidirected
+    # ones at orders 3, 5 and 7.  At order 5 the exception is the regular
+    # tournament, whose 24 labellings each lack a type.
+    for n, lacking in ((4, 0), (5, 24)):
+        tt = make_transitive(n)
+        parity = [orders % 2 for orders in oracle._order_counts(tt)]
+        keys = census(tt).counts.keys()
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        missing = 0
+        for flips in product((False, True), repeat=len(pairs)):
+            t = make_tournament(n, [(j, i) if f else (i, j) for (i, j), f in zip(pairs, flips)])
+            assert [orders % 2 for orders in oracle._order_counts(t)] == parity, t
+            missing += not keys <= census(t).counts.keys()
+        assert missing == lacking, n
 
 
 def test_tournament_is_hashable_and_frozen():
