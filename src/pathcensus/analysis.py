@@ -13,17 +13,16 @@ immutable named tuples holding exact ints; rendering them as text, csv or
 JSON is the CLI's job alone.
 """
 
-from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from operator import itemgetter
 from typing import NamedTuple
 
-from .engine import MemoTable, f_two_block, f_value, f_walk
+from .engine import MemoTable, _top_compositions, f_two_block, f_value, f_walk
 from .errors import OutOfRange, TheoremViolation, TooLarge
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
 from .types import (
+    _check_type_order,
     canonical_key,
-    check_signed_type,
     compositions,
     format_entries,
     is_symmetric,
@@ -59,10 +58,7 @@ def tt_count(n: int, a, memo: MemoTable | None = None) -> int:
     mean the engine or the halving rule is broken.  A tuple that is not a
     signed type raises :class:`ParseError`.
     """
-    a = check_signed_type(a)
-    total = sum(abs(e) for e in a)
-    if total != n - 1:
-        raise OutOfRange(f"type {a} has total block length {total}, need {n - 1}")
+    a = _check_type_order(a, n)
     value = f_value(unsigned(a), memo)
     if is_symmetric(a):
         if value % 2:
@@ -162,13 +158,13 @@ def check_conjectures(
 ) -> list[ConjectureVerdict]:
     """Judge the three maximality observations at every total ``3..max_p``.
 
-    A verdict reads only the values >= T_p = min(F(1,2,1,...,1), F(1,...,1)),
-    so each total is one walk that drops every subtree unable to reach T_p:
-    the completions of a word w of total k sum to C(p+1, k+1)·F(w)·F(u) over
-    the junction letter, so none exceeds C(p+1, k+1)·F(w)·M[p-k-1], with M[m]
-    the largest value at total m.  Totals are judged in increasing order and
-    M[m] is read off total m's verdict, exact because its runner-up is at
-    least F(pattern) >= T_m; so the bound rests on nothing but this run.
+    The runner-up is the largest value off the all-ones composition; it must
+    be attained by (1,2,1,...,1) and its reverse alone, below F(1,...,1) and
+    above half of it.  So a verdict reads only the values >= T_p =
+    min(F(1,2,1,...,1), F(1,...,1)), which the engine's pruned walk yields.
+    Totals go in increasing order, and the walk's bound M[m], the largest
+    value at total m, is read off total m's verdict, exact as its runner-up
+    is at least F(pattern) >= T_m: the bound rests on nothing but this run.
 
     The all-ones values come from :func:`f_value`, a second route.
     Violations are findings, not errors: a verdict carries them as witnesses
@@ -183,35 +179,14 @@ def check_conjectures(
     for p in range(3, max_p + 1):
         ones = f_value((1,) * p, memo)
         floor = min(ones, f_value(runner_up_pattern(p)))  # kept out of memo
-        runner, attainers, beating = 0, [], []
-        for comp, value in _top_compositions(p, floor, best):
-            if len(comp) == p:
-                continue  # all-ones itself
-            if value >= ones:
-                beating.append(comp)
-            if value > runner:
-                runner, attainers = value, [comp]
-            elif value == runner:
-                attainers.append(comp)
-        verdicts.append(_verdict(p, ones, runner, sorted(attainers), sorted(beating)))
+        # never empty: the pattern reaches the floor, so the walk yields it
+        rows = [(c, v) for c, v in _top_compositions(p, floor, best) if len(c) < p]
+        runner = max(v for _, v in rows)
+        attainers = sorted(c for c, v in rows if v == runner)
+        beating = sorted(c for c, v in rows if v >= ones)
+        verdicts.append(_verdict(p, ones, runner, attainers, beating))
         best.append(max(ones, runner))
     return verdicts
-
-
-def _top_compositions(p, floor, best):
-    # (composition, value) for every composition of p whose value reaches
-    # floor, and some below it: a depth-first rank DP over the up/down words,
-    # where a node of total k < p expands only if its completions' bound
-    # reaches floor (ties survive)
-    stack = [((1,), [0, 1])]
-    while stack:
-        comp, x = stack.pop()
-        k, value = len(x) - 1, sum(x)
-        if k == p:
-            yield comp, value
-        elif comb(p + 1, k + 1) * value * best[p - k - 1] >= floor:
-            stack.append((comp[:-1] + (comp[-1] + 1,), [0, *accumulate(x)]))
-            stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
 
 
 def _verdict(p, ones_value, runner_value, attainers, beating) -> ConjectureVerdict:

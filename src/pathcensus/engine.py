@@ -8,17 +8,17 @@ number of permutations of ``1..p+1`` whose up/down signature has run lengths
 transitive tournaments and outgrow 64-bit range quickly, so everything here
 is exact Python integers.
 
-:func:`f_value` counts those permutations with the rank DP of Niven and de
-Bruijn ("Permutations with given ups and downs"): one vector entry per rank
-of the last element placed, one prefix-sum pass per step, O(p^2) additions
-at most.  The two end blocks cost no passes: the shorter is built in closed
-form, and the longer is summed in one go by the hockey-stick identity, so a
-two-block type is that sum's one binomial term.  :func:`f_walk` runs the
-same DP, in the same frame, on every composition of ``p`` at once: one
-fixed-width field per composition, its bits marking where the blocks end,
-packed into one integer per rank.  One pass that extends every composition
-a letter per level, O(p^2) big-integer steps, values them all, and the
-fields come out in ascending composition order.
+Those permutations are counted by the rank DP of Niven and de Bruijn
+("Permutations with given ups and downs"), one vector entry per rank of the
+last element placed and one prefix-sum pass per step, in three forms.
+:func:`f_value` values one composition in O(p^2) additions at most, with
+both end blocks in closed form.  :func:`f_walk` values every composition of
+``p`` at once, in ascending order, by O(p^2) steps on integers that pack
+one field per composition.  The pruned walk ``_top_compositions`` yields
+the compositions that can reach a floor, depth first: by the split identity
+the completions of a word w of total k sum to C(p+1, k+1)·F(w)·F(u) over
+the junction letter, and a word whose bound C(p+1, k+1)·F(w)·(largest value
+at total p-k-1) falls short of the floor is dropped with its subtree.
 :func:`f_recurrence` evaluates the defining recurrence on an explicit stack;
 it is exponential and kept as the independent reference the tests compare
 the DP against.
@@ -141,6 +141,22 @@ def _fields(packed: int, k: int, size: int) -> list[int]:
     if size == 8 and sys.byteorder == "little":
         return memoryview(data).cast("Q").tolist()
     return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+
+
+def _top_compositions(p, floor, best):
+    # (composition, value) for every composition of p whose value reaches
+    # floor, and some below it: a depth-first rank DP over the up/down words,
+    # where a node of total k < p expands only if its completions' bound
+    # reaches floor (ties survive)
+    stack = [((1,), [0, 1])]
+    while stack:
+        comp, x = stack.pop()
+        k, value = len(x) - 1, sum(x)
+        if k == p:
+            yield comp, value
+        elif comb(p + 1, k + 1) * value * best[p - k - 1] >= floor:
+            stack.append((comp[:-1] + (comp[-1] + 1,), [0, *accumulate(x)]))
+            stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
 
 
 def f_recurrence(c, memo: MemoTable | None = None) -> int:

@@ -22,7 +22,7 @@ class OutOfRange(PathCensusError, ValueError):
     """A size outside the range its question is defined for: a total, block
     length or tournament order below its least value (a scan total under 2,
     a census order under 3, a unit block asked for its children), a type
-    whose total block length does not fit the tournament order, or a type's
+    whose blocks do not sum to the tournament order less one, or a type's
     rank DP or a total's compositions past the machine's index range."""
 
 

@@ -4,16 +4,15 @@ A tournament is a complete orientation of K_n on vertices 1..n, held as one
 out-neighbour bitmask per vertex: the census steps on those masks as they
 are, and :meth:`Tournament.beats` reads one arc.  Each builder lists its
 arcs, and :func:`make_tournament`, the one constructor, checks them and
-builds the masks.  Every vertex order traces a Hamiltonian oriented path,
-whose type is read off the up/down word of its arcs.  The census counts all
-n! orders at once with a Held–Karp subset DP over (visited set, last
-vertex) states; each state holds one integer that packs the counts of every
-up/down word into fixed-width fields (see :func:`_order_counts`), so the DP
-costs n(n-1)·2^(n-2) big-int adds.  Each word's orders are then tallied
-under the canonical key of the signed type that ``signed_lift`` builds from
-its run lengths.  Each path is met exactly twice (once per direction) and
-both meetings land on the same canonical key, so raw tallies are halved
-after an evenness check.
+builds the masks; the census and :func:`complement` read the arcs back and
+refuse masks that it would not build.  Every vertex order traces a
+Hamiltonian oriented path, whose type is read off the up/down word of its
+arcs.  The census counts all n! orders at once with a Held–Karp subset DP
+over (visited set, last vertex) states, each holding one integer that packs
+every word's count (see :func:`_order_counts`).  It tallies each word's
+orders under the canonical key of the type that ``signed_lift`` builds from
+its run lengths.  Each path is met exactly twice (once per direction), on
+one key both times, so the tallies are halved after an evenness check.
 
 Everything here is independent of the path-function engine on purpose: the
 two routes to the same counts check each other.
@@ -25,7 +24,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import OutOfRange, TheoremViolation, TooLarge
-from .types import canonical_key, check_signed_type, signed_lift
+from .types import _check_type_order, canonical_key, signed_lift
 
 __all__ = [
     "CENSUS_LIMIT",
@@ -109,9 +108,18 @@ def make_random(n: int, seed: int) -> Tournament:
     return make_tournament(n, [(i, j) if rng.getrandbits(1) else (j, i) for i, j in _pairs(n)])
 
 
+def _arcs(t: Tournament) -> list[tuple[int, int]]:
+    # each pair's arc in _pairs order, once make_tournament builds t from them
+    if len(t.out) == t.n:
+        arcs = [(i, j) if t.beats(i, j) else (j, i) for i, j in _pairs(t.n)]
+        if make_tournament(t.n, arcs) == t:
+            return arcs
+    raise ValueError(f"not a tournament: {t}")
+
+
 def complement(t: Tournament) -> Tournament:
     """Every arc reversed; an involution."""
-    return make_tournament(t.n, [(j, i) if t.beats(i, j) else (i, j) for i, j in _pairs(t.n)])
+    return make_tournament(t.n, [(j, i) for i, j in _arcs(t)])
 
 
 class TypeCensus(NamedTuple):
@@ -173,6 +181,7 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
         raise OutOfRange(f"census needs at least 3 vertices, got {n}")
     if limit is not None and n > limit:
         raise TooLarge(f"census of order {n} exceeds the limit {limit}")
+    _arcs(t)
 
     counts: dict[tuple[int, ...], int] = {}
     for word, orders in enumerate(_order_counts(t)):
@@ -191,8 +200,5 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
 def count_type(t: Tournament, a, *, limit: int | None = CENSUS_LIMIT) -> int:
     """Number of Hamiltonian oriented paths of type ``a`` in ``t``; a tuple
     that is not a signed type raises :class:`ParseError`."""
-    a = check_signed_type(a)
-    total = sum(abs(e) for e in a)
-    if total != t.n - 1:
-        raise OutOfRange(f"type {a} has total block length {total}, need {t.n - 1}")
+    a = _check_type_order(a, t.n)
     return census(t, limit=limit).counts.get(canonical_key(a), 0)

@@ -172,6 +172,14 @@ def check_signed_type(a: Sequence[int]) -> tuple[int, ...]:
     return a
 
 
+def _check_type_order(a: Sequence[int], n: int) -> tuple[int, ...]:
+    # a signed type whose blocks hold the n - 1 arcs of a path on n vertices
+    a = check_signed_type(a)
+    if (total := sum(abs(e) for e in a)) != n - 1:
+        raise OutOfRange(f"type {a} has total block length {total}, need {n - 1}")
+    return a
+
+
 def parse_composition(text: str) -> tuple[int, ...]:
     """Parse ``"1,2,1"`` into a composition.  Rejects zeros and negatives."""
     return check_composition(_parse_entries(text))

@@ -9,6 +9,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pathcensus import engine
 from pathcensus.analysis import check_conjecture, scan
 from pathcensus.engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
 from pathcensus.errors import OutOfRange, ParseError
@@ -113,6 +114,13 @@ def test_walk_refuses_a_total_past_the_index_range(p):
     # refused at the call, before the first level's vector or (p+1)!
     with pytest.raises(OutOfRange, match=rf"total must be 1\.\.\d+, got {p}"):
         f_walk(p)
+
+
+def test_pruned_walk_with_a_zero_floor_values_every_composition_once():
+    # no bound falls short of 0, so nothing is pruned
+    for p in range(1, 13):
+        rows = list(engine._top_compositions(p, 0, [1] * p))
+        assert sorted(rows) == sorted(f_walk(p)), p
 
 
 def test_walk_yields_compositions_in_ascending_order():

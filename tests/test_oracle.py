@@ -18,7 +18,7 @@ from pathcensus.oracle import (
     make_tournament,
     make_transitive,
 )
-from pathcensus.types import canonical_key, compositions, signed_lift
+from pathcensus.types import canonical_key, compositions, is_symmetric, signed_lift
 
 
 @st.composite
@@ -137,6 +137,23 @@ def test_complement_reverses_every_arc(t):
         for j in range(1, t.n + 1):
             if i != j:
                 assert c.beats(i, j) == t.beats(j, i)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        oracle.Tournament(3, (7, 7, 7)),
+        make_transitive(3)._replace(out=(6, 4, 1)),
+        oracle.Tournament(3, (6, 4)),
+        oracle.Tournament(3, (6, 4, 0, 0)),
+    ],
+    ids=["every_vertex_beats_all_and_itself", "pair_oriented_twice", "mask_short", "mask_over"],
+)
+def test_census_and_complement_refuse_masks_make_tournament_did_not_build(t):
+    with pytest.raises(ValueError, match="not a tournament"):
+        census(t)
+    with pytest.raises(ValueError, match="not a tournament"):
+        complement(t)
 
 
 # census ----------------------------------------------------------------------
@@ -297,6 +314,21 @@ def test_word_parity_and_presence_on_every_tournament_of_orders_4_and_5():
             assert [orders % 2 for orders in oracle._order_counts(t)] == parity, t
             missing += not keys <= census(t).counts.keys()
         assert missing == lacking, n
+
+
+@given(tournaments(max_n=8))
+def test_word_and_type_parity_match_the_transitive_tournament_to_order_8(t):
+    # Cited, not proved here: by Forcade (1973) each word's order count has
+    # one parity over all tournaments of an order.  A non-symmetric type's
+    # count is the order count of either of its words, so its parity is the
+    # transitive one; a symmetric type's count is half of one, so it varies.
+    tt = make_transitive(t.n)
+    parity = [orders % 2 for orders in oracle._order_counts(tt)]
+    assert [orders % 2 for orders in oracle._order_counts(t)] == parity
+    counts = census(t).counts
+    for key in census(tt).counts:
+        if not is_symmetric(key):
+            assert counts.get(key, 0) % 2 == tt_count(t.n, key) % 2, key
 
 
 def test_tournament_is_hashable_and_frozen():
