@@ -392,14 +392,14 @@ class OracleDiffReport(NamedTuple):
 
 
 def _compare(n: int, got: dict, want: dict, note: str, found: list) -> int:
-    """Check two per-type tallies key for key, in key order, appending a
-    :class:`Discrepancy` to ``found`` per mismatch; returns the keys checked."""
+    """Check two tallies key for key, in key order, appending a
+    :class:`Discrepancy` to ``found`` per mismatch; returns the keys checked.
+    A key is a type, shown by its entries, or a ``str`` label such as ``"(total)"``."""
     keys = sorted(set(got) | set(want))
-    found.extend(
-        Discrepancy(n, format_entries(key), got.get(key, 0), want.get(key, 0), note)
-        for key in keys
-        if got.get(key, 0) != want.get(key, 0)
-    )
+    for key in keys:
+        if got.get(key, 0) != want.get(key, 0):
+            label = key if type(key) is str else format_entries(key)
+            found.append(Discrepancy(n, label, got.get(key, 0), want.get(key, 0), note))
     return len(keys)
 
 
@@ -411,12 +411,14 @@ def verify_against_oracle(
     limit: int | None = CENSUS_LIMIT,
 ) -> OracleDiffReport:
     """Check the vertex-order census on one tournament family at every order
-    3..``max_n``: ``"transitive"``, ``"nearly"`` or ``"random"`` (by ``seed``).
+    3..``max_n``: ``"transitive"``, ``"nearly"`` or ``"random"`` (``seed`` is
+    read by ``"random"`` alone).  Each order compares a list of tallies, one
+    check per key and, per mismatch, one :class:`Discrepancy` with its note:
 
-    On the transitive tournament the census must match the path-function
-    route key for key.  On the others it must partition all n!/2 paths and
-    show the complement's count for every type, and the nearly-transitive
-    family pins its directed-path count to 2^(n-2) + 1.
+    - transitive: the census against the path-function route (``transitive-census``);
+    - nearly and random: the census total against n!/2 (``partition``), then
+      the census against its complement's, type for type (``complement``);
+    - nearly: the directed-path count against 2^(n-2) + 1 (``directed-count``).
     """
     if kind not in ("transitive", "nearly", "random"):
         raise ValueError(f"unknown tournament kind: {kind!r}")
@@ -432,28 +434,19 @@ def verify_against_oracle(
             cen = census(make_transitive(n), limit=limit)
             lifts = (signed_lift(c, lead) for c in compositions(n - 1) for lead in (True, False))
             expected = {key: tt_count(n, key) for key in set(map(canonical_key, lifts))}
-            checks += _compare(n, cen.counts, expected, "transitive-census", discrepancies)
-            continue
-        t = make_nearly_transitive(n) if kind == "nearly" else make_random(n, seed)
-        cen = census(t, limit=limit)
-        comp_cen = census(complement(t), limit=limit)
-
-        checks += 1
-        total = cen.total()
-        want_total = factorial(n) // 2
-        if total != want_total:
-            discrepancies.append(
-                Discrepancy(n, "(total)", total, want_total, "partition")
-            )
-        checks += _compare(n, cen.counts, comp_cen.counts, "complement", discrepancies)
-        if kind == "nearly":
-            checks += 1
-            directed = cen.counts.get(canonical_key((n - 1,)), 0)
-            want = 2 ** (n - 2) + 1
-            if directed != want:
-                discrepancies.append(
-                    Discrepancy(n, format_entries((n - 1,)), directed, want, "directed-count")
-                )
+            tallies = [(cen.counts, expected, "transitive-census")]
+        else:
+            t = make_nearly_transitive(n) if kind == "nearly" else make_random(n, seed)
+            cen = census(t, limit=limit)
+            tallies = [
+                ({"(total)": cen.total()}, {"(total)": factorial(n) // 2}, "partition"),
+                (cen.counts, census(complement(t), limit=limit).counts, "complement"),
+            ]
+            if kind == "nearly":
+                directed = {(n - 1,): cen.counts.get((n - 1,), 0)}
+                tallies.append((directed, {(n - 1,): 2 ** (n - 2) + 1}, "directed-count"))
+        for got, want, note in tallies:
+            checks += _compare(n, got, want, note, discrepancies)
     return OracleDiffReport(
         kind=kind,
         max_n=max_n,

@@ -110,7 +110,7 @@ def make_random(n: int, seed: int) -> Tournament:
 
 def _arcs(t: Tournament) -> list[tuple[int, int]]:
     # each pair's arc in _pairs order, once make_tournament builds t from them
-    if len(t.out) == t.n:
+    if type(t.n) is int and len(t.out) == t.n and all(type(row) is int for row in t.out):
         arcs = [(i, j) if t.beats(i, j) else (j, i) for i, j in _pairs(t.n)]
         if make_tournament(t.n, arcs) == t:
             return arcs

@@ -539,6 +539,76 @@ def test_verify_reports_a_wrong_nearly_directed_count(monkeypatch):
     ]
 
 
+def move_a_directed_path(n, counts):
+    """Move one directed path of order n to type (1, -(n-2)); the total holds."""
+    counts[(n - 1,)] -= 1
+    other = canonical_key((1, -(n - 2)))
+    counts[other] = counts.get(other, 0) + 1
+
+
+def doctor_census_of(monkeypatch, make, change):
+    """Make verify see `change(n, counts)` in the census of `make(n)` alone,
+    not in its complement's."""
+    real = analysis.census
+
+    def doctored(t, **kwargs):
+        counts = dict(real(t, **kwargs).counts)
+        if t == make(t.n):
+            change(t.n, counts)
+        return TypeCensus(counts)
+
+    monkeypatch.setattr(analysis, "census", doctored)
+
+
+def test_verify_reports_a_transitive_census_off_the_path_function(monkeypatch):
+    # TT_n has one directed path; (1, -(n-2)) counts F(1, 1)/2 = 1 at n = 3
+    # (symmetric) and F(1, 2) = 3 at n = 4
+    doctor_census(monkeypatch, move_a_directed_path)
+    report = verify_against_oracle(4)
+    assert report.discrepancies == [
+        Discrepancy(3, "1,-1", 2, 1, "transitive-census"),
+        Discrepancy(3, "2", 0, 1, "transitive-census"),
+        Discrepancy(4, "1,-2", 4, 3, "transitive-census"),
+        Discrepancy(4, "3", 0, 1, "transitive-census"),
+    ]
+
+
+def test_verify_reports_a_census_its_complement_does_not_match(monkeypatch):
+    # seed 0 draws the cyclic triangle 1→2→3→1, whose 3 paths are all
+    # directed, and at n = 4 the out-sets 1:{2,4} 2:{3} 3:{1} 4:{2,3}, with 5
+    # directed paths and 3 of type (1,-2)
+    doctor_census_of(monkeypatch, lambda n: make_random(n, 0), move_a_directed_path)
+    report = verify_against_oracle(4, "random", seed=0)
+    assert report.discrepancies == [
+        Discrepancy(3, "1,-1", 1, 0, "complement"),
+        Discrepancy(3, "2", 2, 3, "complement"),
+        Discrepancy(4, "1,-2", 4, 3, "complement"),
+        Discrepancy(4, "3", 4, 5, "complement"),
+    ]
+
+
+def test_verify_orders_the_three_nearly_findings_of_one_order(monkeypatch):
+    # one directed path too many in the tournament's census alone: its total
+    # n!/2, its complement's 2^(n-2) + 1 directed paths and the pinned
+    # directed count all break, in that order at each n
+    def one_more(n, counts):
+        counts[(n - 1,)] += 1
+
+    doctor_census_of(monkeypatch, make_nearly_transitive, one_more)
+    report = verify_against_oracle(5, "nearly")
+    assert report.discrepancies == [
+        Discrepancy(3, "(total)", 4, 3, "partition"),
+        Discrepancy(3, "2", 4, 3, "complement"),
+        Discrepancy(3, "2", 4, 3, "directed-count"),
+        Discrepancy(4, "(total)", 13, 12, "partition"),
+        Discrepancy(4, "3", 6, 5, "complement"),
+        Discrepancy(4, "3", 6, 5, "directed-count"),
+        Discrepancy(5, "(total)", 61, 60, "partition"),
+        Discrepancy(5, "4", 10, 9, "complement"),
+        Discrepancy(5, "4", 10, 9, "directed-count"),
+    ]
+
+
 # reports as the CLI renders them -----------------------------------------------------
 
 def render(monkeypatch, capsys, call, result, *argv):

@@ -146,8 +146,19 @@ def test_complement_reverses_every_arc(t):
         make_transitive(3)._replace(out=(6, 4, 1)),
         oracle.Tournament(3, (6, 4)),
         oracle.Tournament(3, (6, 4, 0, 0)),
+        oracle.Tournament(3.0, (6, 4, 0)),
+        oracle.Tournament(3, (6.0, 4, 0)),
+        oracle.Tournament(3, (6, 4, False)),
     ],
-    ids=["every_vertex_beats_all_and_itself", "pair_oriented_twice", "mask_short", "mask_over"],
+    ids=[
+        "every_vertex_beats_all_and_itself",
+        "pair_oriented_twice",
+        "mask_short",
+        "mask_over",
+        "order_not_int",
+        "mask_not_int",
+        "mask_bool",
+    ],
 )
 def test_census_and_complement_refuse_masks_make_tournament_did_not_build(t):
     with pytest.raises(ValueError, match="not a tournament"):
