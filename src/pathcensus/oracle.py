@@ -1,25 +1,26 @@
 """Ground truth on small tournaments, by counting vertex orders.
 
 A tournament is a complete orientation of K_n on vertices 1..n, held as one
-out-neighbour bitmask per vertex: the census steps on those masks as they
-are, and :meth:`Tournament.beats` reads one arc.  Each builder lists its
+out-neighbour bitmask per vertex: the census reads each vertex's in-arcs
+off those masks, and :meth:`Tournament.beats` reads one arc.  Each builder lists its
 arcs, and :func:`make_tournament`, the one constructor, checks them and
 builds the masks; the census and :func:`complement` read the arcs back and
 refuse masks that it would not build.  Every vertex order traces a
 Hamiltonian oriented path, whose type is read off the up/down word of its
 arcs.  The census counts all n! orders at once with a Held–Karp subset DP
-over (visited set, last vertex) states, each holding one integer that packs
-every word's count (see :func:`_order_counts`).  It tallies each word's
-orders under the canonical key of the type that ``signed_lift`` builds from
-its run lengths.  Each path is met exactly twice (once per direction), on
-one key both times, so the tallies are halved after an evenness check.
+that pulls each (vertex set, last vertex) count from the set without that
+vertex, one integer packing every word's count (see :func:`_order_counts`).
+It tallies each word's orders under the canonical key of the type that
+``signed_lift`` builds from its run lengths.  Each path is met exactly
+twice (once per direction), on one key both times, so the tallies are
+halved after an evenness check.
 
 Everything here is independent of the path-function engine on purpose: the
 two routes to the same counts check each other.
 """
 
 import random
-from itertools import groupby
+from itertools import compress, groupby
 from math import factorial
 from typing import NamedTuple
 
@@ -39,8 +40,9 @@ __all__ = [
     "count_type",
 ]
 
-# order 10 (10·9·2^8 packed adds) takes ≈0.03 s, order 12 ≈0.15 s; the work
-# keeps growing ≈2.5× per order past it, so larger orders need --force
+# order 10 (10·2^9 packed pulls) takes ≈10 ms, order 12 ≈60 ms (2 vCPU,
+# Python 3.11); the work keeps growing ≈2.5× per order past it, so larger
+# orders need --force
 CENSUS_LIMIT = 10
 
 
@@ -135,38 +137,33 @@ def _order_counts(t: Tournament) -> list[int]:
     """Number of vertex orders of ``t`` with each up/down word: entry ``w``
     of the 2^(n-1) counts is word ``w`` (bit i set iff arc i ascends).
 
-    A subset DP over states (visited mask, last vertex) that packs every
-    word into one integer: field ``w`` of a state's int, ``width`` bits
-    wide, holds the number of vertex orders reaching that state whose word
-    is ``w``.  Extending by one vertex at arc k adds the parent's int to
-    the child, shifted by ``width << k`` when the arc ascends, so one
-    big-int add carries every word at once: n(n-1)·2^(n-2) adds in all.
-    Every field counts fewer than n! orders and is wide enough to hold n!,
-    so no field ever carries into the next.
+    A subset DP over vertex sets, one layer of sets per size, that packs
+    every word into one integer: each set S holds a row of n ints whose
+    entry v counts, in field ``w`` of ``width`` bits, the orders of S that
+    end at v and have word ``w``.  Adding v to S at arc k pulls every order
+    of S at once: those ending at a vertex that beats v ascend, so their
+    sum moves up by ``width << k``, and the rest keep their fields.  That
+    is n·2^(n-1) (set, vertex) pairs, each summing at most n - 1 entries of
+    one row.  Every field counts fewer than n! orders and is wide enough to
+    hold n!, so no field ever carries into the next.
     """
     n = t.n
-    # vertex v is bit 1 << (v - 1); beats[v] is its out-neighbour mask, padded
-    # at 0 so states keep the label bit.bit_length() with no per-state shift
-    beats = (0, *t.out)
-    everyone = (1 << n) - 1
     nbytes = (factorial(n).bit_length() + 7) // 8
     width = 8 * nbytes
-    frontier = {(1 << (v - 1), v): 1 for v in range(1, n + 1)}
-    for k in range(n - 1):  # two layers live: states with k + 1 and k + 2 vertices
+    into = [[row >> v & 1 for row in t.out] for v in range(n)]  # into[v][u]: arc u+1 -> v+1
+    ends = {1 << v: [int(u == v) for u in range(n)] for v in range(n)}
+    for k in range(n - 1):  # two layers live: sets of k + 1 and k + 2 vertices
         shift = width << k
-        nxt: dict[tuple[int, int], int] = {}
-        for (mask, last), packed in frontier.items():
-            up = packed << shift
-            wins = beats[last]
-            rest = everyone & ~mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                state = (mask | bit, bit.bit_length())
-                nxt[state] = nxt.get(state, 0) + (up if wins & bit else packed)
-        frontier = nxt
+        nxt: dict[int, list[int]] = {}
+        for seen, row in ends.items():
+            total = sum(row)
+            for v in range(n):
+                if not seen >> v & 1:
+                    up = sum(compress(row, into[v]))
+                    nxt.setdefault(seen | 1 << v, [0] * n)[v] = (up << shift) + total - up
+        ends = nxt
 
-    raw = sum(frontier.values()).to_bytes(nbytes << (n - 1), "little")
+    raw = sum(ends[(1 << n) - 1]).to_bytes(nbytes << (n - 1), "little")
     return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
 
 

@@ -1,6 +1,6 @@
 """Vertex-order census: builders, tallies, invariants."""
 
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from pathcensus import oracle
 from pathcensus.analysis import tt_count
+from pathcensus.engine import f_walk
 from pathcensus.errors import OutOfRange, TheoremViolation, TooLarge
 from pathcensus.oracle import (
     census,
@@ -211,12 +212,39 @@ def enumerated_counts(t):
     return {key: value // 2 for key, value in raw.items()}
 
 
+def enumerated_words(t):
+    """Per-word order counts from every vertex permutation, one at a time:
+    entry w counts the orders whose word is w (bit i set iff arc i ascends)."""
+    counts = [0] * 2 ** (t.n - 1)
+    for order in permutations(range(1, t.n + 1)):
+        counts[sum(t.beats(u, v) << i for i, (u, v) in enumerate(zip(order, order[1:])))] += 1
+    return counts
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_census_matches_plain_enumeration(n):
     family = [make_transitive(n), make_nearly_transitive(n)]
     family += [make_random(n, seed) for seed in (0, 1, 7)]
     for t in family + [complement(t) for t in family]:
         assert census(t).counts == enumerated_counts(t)
+
+
+def test_order_counts_of_transitive_words_are_the_path_function():
+    # in the transitive tournament an arc ascends iff its labels increase, so
+    # word w counts the permutations with that up/down word: F of its runs
+    for n in range(3, 12):
+        values = dict(f_walk(n - 1))
+        for word, orders in enumerate(oracle._order_counts(make_transitive(n))):
+            letters = format(word, f"0{n - 1}b")[::-1]  # arc 0 first
+            assert orders == values[tuple(len(list(run)) for _, run in groupby(letters))], (n, word)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_order_counts_match_plain_enumeration_word_by_word(n):
+    family = [make_transitive(n), make_nearly_transitive(n)]
+    family += [make_random(n, seed) for seed in (0, 1, 7)]
+    for t in family + [complement(t) for t in family]:
+        assert oracle._order_counts(t) == enumerated_words(t), t
 
 
 @pytest.mark.parametrize("n", (11, 12))
