@@ -2,15 +2,15 @@
 
 Ties the path-function engine to actual path counts: a type's count in the
 transitive tournament is the path-function value of its block lengths,
-halved when the type is symmetric (a symmetric path is met once per
-enumeration direction).  On top of that sit a full scan of all compositions
-of a total with ranking, the observation checker for the all-ones maximum,
-the property suite (seven families that each list their instances, exact
-values or strict orders, checked by one loop up to a total), and one verify
-call, :func:`verify_against_oracle`, that checks the vertex-order census on
-transitive, nearly-transitive or seeded random tournaments.  Results are
-immutable named tuples holding exact ints; rendering them as text, csv or
-JSON is the CLI's job alone.
+halved when the type is symmetric (its paths read the same both ways).  On
+top of that sit a full scan of a total's compositions, the all-ones maximum
+checker, the property suite, and :func:`verify_against_oracle`, which checks
+the vertex-order census on transitive, nearly-transitive or seeded random
+tournaments with one census per order: complementing flips every letter of
+every word, and a flipped word folds to the negated type, so the
+complement's tally is N_{Tᶜ}(a) = N_T(−a) (criterion 6 and
+``tests/test_oracle.py`` still census the complement).  Results are
+immutable named tuples of exact ints, rendered by the CLI alone.
 """
 
 from math import factorial
@@ -19,13 +19,14 @@ from typing import NamedTuple
 
 from .engine import MemoTable, _top_compositions, f_two_block, f_value, f_walk
 from .errors import OutOfRange, TheoremViolation, TooLarge
-from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive, complement
+from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive
 from .types import (
     _check_type_order,
     canonical_key,
     compositions,
     format_entries,
     is_symmetric,
+    negate,
     signed_lift,
     unsigned,
 )
@@ -417,7 +418,8 @@ def verify_against_oracle(
 
     - transitive: the census against the path-function route (``transitive-census``);
     - nearly and random: the census total against n!/2 (``partition``), then
-      the census against its complement's, type for type (``complement``);
+      the census against the complement's, N_{Tᶜ}(a) = N_T(−a), as complementing
+      flips every letter, so negates every type (``complement``; tests census Tᶜ);
     - nearly: the directed-path count against 2^(n-2) + 1 (``directed-count``).
     """
     if kind not in ("transitive", "nearly", "random"):
@@ -440,7 +442,7 @@ def verify_against_oracle(
             cen = census(t, limit=limit)
             tallies = [
                 ({"(total)": cen.total()}, {"(total)": factorial(n) // 2}, "partition"),
-                (cen.counts, census(complement(t), limit=limit).counts, "complement"),
+                (cen.counts, {canonical_key(negate(k)): v for k, v in cen.counts.items()}, "complement"),
             ]
             if kind == "nearly":
                 directed = {(n - 1,): cen.counts.get((n - 1,), 0)}

@@ -173,12 +173,12 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
     Tallies the order counts of :func:`_order_counts` by the canonical key
     of each word's signed type, then halves each tally.  The total equals n!/2.
     """
+    _arcs(t)
     n = t.n
     if n < 3:
         raise OutOfRange(f"census needs at least 3 vertices, got {n}")
     if limit is not None and n > limit:
         raise TooLarge(f"census of order {n} exceeds the limit {limit}")
-    _arcs(t)
 
     counts: dict[tuple[int, ...], int] = {}
     for word, orders in enumerate(_order_counts(t)):
@@ -197,5 +197,6 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
 def count_type(t: Tournament, a, *, limit: int | None = CENSUS_LIMIT) -> int:
     """Number of Hamiltonian oriented paths of type ``a`` in ``t``; a tuple
     that is not a signed type raises :class:`ParseError`."""
+    _arcs(t)
     a = _check_type_order(a, t.n)
     return census(t, limit=limit).counts.get(canonical_key(a), 0)

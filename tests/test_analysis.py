@@ -473,6 +473,15 @@ def test_verify_refuses_before_any_census(monkeypatch, call, error, message):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["transitive", "nearly", "random"])
+def test_verify_runs_one_census_per_order(monkeypatch, kind):
+    calls = []
+    real = analysis.census
+    monkeypatch.setattr(analysis, "census", lambda t, **k: calls.append(t) or real(t, **k))
+    assert verify_against_oracle(9, kind).ok
+    assert [t.n for t in calls] == list(range(3, 10))
+
+
 def test_verify_rejects_unknown_kind():
     with pytest.raises(ValueError):
         verify_against_oracle(5, "weird")
@@ -522,23 +531,6 @@ def test_verify_reports_a_census_that_misses_the_partition(monkeypatch, capsys):
     ]
 
 
-def test_verify_reports_a_wrong_nearly_directed_count(monkeypatch):
-    # one directed path moved to another type: the total holds, and the
-    # directed counts 2^(n-2) + 1 = 3 and 5 read one less
-    def moved(n, counts):
-        counts[(n - 1,)] -= 1
-        other = canonical_key((1, -(n - 2)))
-        counts[other] = counts.get(other, 0) + 1
-
-    doctor_census(monkeypatch, moved)
-    report = verify_against_oracle(4, "nearly")
-    assert report.ok is False
-    assert report.discrepancies == [
-        Discrepancy(3, "2", 2, 3, "directed-count"),
-        Discrepancy(4, "3", 4, 5, "directed-count"),
-    ]
-
-
 def move_a_directed_path(n, counts):
     """Move one directed path of order n to type (1, -(n-2)); the total holds."""
     counts[(n - 1,)] -= 1
@@ -546,18 +538,39 @@ def move_a_directed_path(n, counts):
     counts[other] = counts.get(other, 0) + 1
 
 
-def doctor_census_of(monkeypatch, make, change):
-    """Make verify see `change(n, counts)` in the census of `make(n)` alone,
-    not in its complement's."""
-    real = analysis.census
+# The complement's tally is the census relabelled by negation: (n - 1) maps
+# to itself, and (1, -(n-2)) to the distinct key (-1, n-2).  So a path moved
+# to or added at (1, -(n-2)) breaks `complement` on those two keys, "-1,…"
+# sorting first: the census reads N(-1, n-2) against N(1, -(n-2)) + 1, and
+# N(1, -(n-2)) + 1 against N(-1, n-2).  A path u->v<-...<- of type
+# (1, -(n-2)) is an arc u -> v and a directed path of the rest ending at v:
+# - the cyclic triangle (seed 0 at n = 3, and nearly at n = 3) has 3 paths,
+#   all directed, so N(1, -1) = N(-1, 1) = 0;
+# - nearly at n = 4 (arc 4 -> 1) has the 3 paths 2->3<-1<-4, 2->4<-3<-1 and
+#   3->4<-2<-1 of type (1, -2);
+# - seed 0 at n = 4 (out-sets 1:{2,4} 2:{3} 3:{1} 4:{2,3}) has 3 paths of
+#   type (1, -2): 2->3<-4<-1, 4->2<-1<-3 and 4->3<-2<-1;
+# - nearly at n = 5 (arc 5 -> 1) has the 8 paths 2->3<-1<-5<-4,
+#   2->4<-1<-5<-3, 2->4<-3<-1<-5, 3->4<-1<-5<-2, 3->4<-2<-1<-5,
+#   2->5<-4<-3<-1, 3->5<-4<-2<-1 and 4->5<-3<-2<-1 of type (1, -3).
+# Each N(-1, n-2) equals N(1, -(n-2)), as verify checks.
 
-    def doctored(t, **kwargs):
-        counts = dict(real(t, **kwargs).counts)
-        if t == make(t.n):
-            change(t.n, counts)
-        return TypeCensus(counts)
 
-    monkeypatch.setattr(analysis, "census", doctored)
+def test_verify_reports_a_wrong_nearly_directed_count(monkeypatch):
+    # one directed path moved to (1, -(n-2)): the total holds, the counts
+    # N(1, -(n-2)) = 0 and 3 no longer match N(-1, n-2), and the directed
+    # counts 2^(n-2) + 1 = 3 and 5 read one less
+    doctor_census(monkeypatch, move_a_directed_path)
+    report = verify_against_oracle(4, "nearly")
+    assert report.ok is False
+    assert report.discrepancies == [
+        Discrepancy(3, "-1,1", 0, 1, "complement"),
+        Discrepancy(3, "1,-1", 1, 0, "complement"),
+        Discrepancy(3, "2", 2, 3, "directed-count"),
+        Discrepancy(4, "-1,2", 3, 4, "complement"),
+        Discrepancy(4, "1,-2", 4, 3, "complement"),
+        Discrepancy(4, "3", 4, 5, "directed-count"),
+    ]
 
 
 def test_verify_reports_a_transitive_census_off_the_path_function(monkeypatch):
@@ -574,37 +587,41 @@ def test_verify_reports_a_transitive_census_off_the_path_function(monkeypatch):
 
 
 def test_verify_reports_a_census_its_complement_does_not_match(monkeypatch):
-    # seed 0 draws the cyclic triangle 1→2→3→1, whose 3 paths are all
-    # directed, and at n = 4 the out-sets 1:{2,4} 2:{3} 3:{1} 4:{2,3}, with 5
-    # directed paths and 3 of type (1,-2)
-    doctor_census_of(monkeypatch, lambda n: make_random(n, 0), move_a_directed_path)
+    # seed 0: N(1, -(n-2)) = 0 at n = 3 and 3 at n = 4, so the moved path
+    # breaks the complement's tally and nothing else
+    doctor_census(monkeypatch, move_a_directed_path)
     report = verify_against_oracle(4, "random", seed=0)
     assert report.discrepancies == [
+        Discrepancy(3, "-1,1", 0, 1, "complement"),
         Discrepancy(3, "1,-1", 1, 0, "complement"),
-        Discrepancy(3, "2", 2, 3, "complement"),
+        Discrepancy(4, "-1,2", 3, 4, "complement"),
         Discrepancy(4, "1,-2", 4, 3, "complement"),
-        Discrepancy(4, "3", 4, 5, "complement"),
     ]
 
 
 def test_verify_orders_the_three_nearly_findings_of_one_order(monkeypatch):
-    # one directed path too many in the tournament's census alone: its total
-    # n!/2, its complement's 2^(n-2) + 1 directed paths and the pinned
-    # directed count all break, in that order at each n
-    def one_more(n, counts):
+    # one directed path and one path of type (1, -(n-2)) too many: the total
+    # n!/2 + 2, the complement's tally on N(1, -(n-2)) = 0, 3, 8 and the
+    # pinned directed count 2^(n-2) + 1 + 1 all break, in that order at each n
+    def two_more(n, counts):
         counts[(n - 1,)] += 1
+        other = canonical_key((1, -(n - 2)))
+        counts[other] = counts.get(other, 0) + 1
 
-    doctor_census_of(monkeypatch, make_nearly_transitive, one_more)
+    doctor_census(monkeypatch, two_more)
     report = verify_against_oracle(5, "nearly")
     assert report.discrepancies == [
-        Discrepancy(3, "(total)", 4, 3, "partition"),
-        Discrepancy(3, "2", 4, 3, "complement"),
+        Discrepancy(3, "(total)", 5, 3, "partition"),
+        Discrepancy(3, "-1,1", 0, 1, "complement"),
+        Discrepancy(3, "1,-1", 1, 0, "complement"),
         Discrepancy(3, "2", 4, 3, "directed-count"),
-        Discrepancy(4, "(total)", 13, 12, "partition"),
-        Discrepancy(4, "3", 6, 5, "complement"),
+        Discrepancy(4, "(total)", 14, 12, "partition"),
+        Discrepancy(4, "-1,2", 3, 4, "complement"),
+        Discrepancy(4, "1,-2", 4, 3, "complement"),
         Discrepancy(4, "3", 6, 5, "directed-count"),
-        Discrepancy(5, "(total)", 61, 60, "partition"),
-        Discrepancy(5, "4", 10, 9, "complement"),
+        Discrepancy(5, "(total)", 62, 60, "partition"),
+        Discrepancy(5, "-1,3", 8, 9, "complement"),
+        Discrepancy(5, "1,-3", 9, 8, "complement"),
         Discrepancy(5, "4", 10, 9, "directed-count"),
     ]
 

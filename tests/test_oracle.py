@@ -19,7 +19,7 @@ from pathcensus.oracle import (
     make_tournament,
     make_transitive,
 )
-from pathcensus.types import canonical_key, compositions, is_symmetric, signed_lift
+from pathcensus.types import canonical_key, compositions, is_symmetric, negate, signed_lift
 
 
 @st.composite
@@ -150,6 +150,8 @@ def test_complement_reverses_every_arc(t):
         oracle.Tournament(3.0, (6, 4, 0)),
         oracle.Tournament(3, (6.0, 4, 0)),
         oracle.Tournament(3, (6, 4, False)),
+        oracle.Tournament("3", (6, 4, 0)),
+        oracle.Tournament(True, (0,)),
     ],
     ids=[
         "every_vertex_beats_all_and_itself",
@@ -159,6 +161,8 @@ def test_complement_reverses_every_arc(t):
         "order_not_int",
         "mask_not_int",
         "mask_bool",
+        "order_str",
+        "order_bool",
     ],
 )
 def test_census_and_complement_refuse_masks_make_tournament_did_not_build(t):
@@ -166,6 +170,8 @@ def test_census_and_complement_refuse_masks_make_tournament_did_not_build(t):
         census(t)
     with pytest.raises(ValueError, match="not a tournament"):
         complement(t)
+    with pytest.raises(ValueError, match="not a tournament"):
+        count_type(t, (2,))
 
 
 # census ----------------------------------------------------------------------
@@ -297,14 +303,18 @@ def test_count_type_zero_for_absent_type():
 
 @given(tournaments())
 def test_complement_invariance_on_random_instances(t):
-    assert census(t).counts == census(complement(t)).counts
+    counts, of_complement = census(t).counts, census(complement(t)).counts
+    assert of_complement == counts
+    assert of_complement == {canonical_key(negate(k)): v for k, v in counts.items()}
 
 
 def test_complement_invariance_and_partition_at_n8():
     t = make_random(8, seed=0)
     c = census(t)
     assert c.total() == factorial(8) // 2
-    assert c.counts == census(complement(t)).counts
+    of_complement = census(complement(t)).counts
+    assert of_complement == c.counts
+    assert of_complement == {canonical_key(negate(k)): v for k, v in c.counts.items()}
 
 
 def test_self_duality_of_transitive():
