@@ -92,7 +92,9 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
     """Evaluate the path-function on all ``2**(p-1)`` compositions of ``p``.
 
     ``limit`` guards against accidental huge scans; pass ``None`` (or a
-    bigger value) to override.
+    bigger value) to override.  The values count the permutations of
+    ``[p+1]`` that start with an ascent, one composition per up/down word, so
+    they must sum to (p+1)!/2, or the scan raises :class:`TheoremViolation`.
     """
     if p < 2:
         raise OutOfRange(f"scan needs p >= 2, got {p}")
@@ -102,6 +104,8 @@ def scan(p: int, *, limit: int | None = DEFAULT_SCAN_LIMIT) -> ScanReport:
     # ascend by (value, composition): the runner-up is the last row unless
     # that one is the all-ones composition
     rows = sorted(f_walk(p), key=itemgetter(1))
+    if (total := sum(map(itemgetter(1), rows))) != factorial(p + 1) // 2:
+        raise TheoremViolation(f"the values of total {p} sum to {total}, not {p + 1}!/2")
     runner_up = rows[-2] if rows[-1][0] == (1,) * p else rows[-1]
     return ScanReport(p=p, rows=rows, max_row=rows[-1], runner_up_row=runner_up)
 

@@ -11,9 +11,10 @@ the exit code is the command's own, with no traceback.  Exit codes: 0 clean,
 1 mathematical finding (oracle discrepancy, observation violation or a
 ``TheoremViolation``), 2 usage error.  The library decides what is a usage
 error: every other ``PathCensusError`` (``ParseError``, ``OutOfRange``,
-``TooLarge``) becomes one ``error:`` line and exit 2; a ``TheoremViolation``
-prints the same line and exits 1.  ``--force`` lifts the library's size
-limits, so a ``TooLarge`` line says to pass it.
+``TooLarge``) becomes one ``error:`` line and exit 2, and so does a
+``MemoryError`` (an input too large for the machine's memory); a
+``TheoremViolation`` prints the same line and exits 1.  ``--force`` lifts
+the library's size limits, so a ``TooLarge`` line says to pass it.
 """
 
 import argparse
@@ -332,6 +333,9 @@ def main(argv=None) -> int:
         hint = " (pass --force to go further)" if isinstance(exc, TooLarge) else ""
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_FINDING if isinstance(exc, TheoremViolation) else EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         _write(renderers[args.format]())
     except BrokenPipeError:

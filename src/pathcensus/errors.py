@@ -33,5 +33,5 @@ class TooLarge(PathCensusError):
 
 class TheoremViolation(PathCensusError):
     """An internal consistency guarantee broke (e.g. a symmetric type with an
-    odd path-function value, or an odd raw tally before halving).  Signals an
-    implementation bug, never bad user input."""
+    odd path-function value, or census words whose orders reversal cannot
+    pair).  Signals an implementation bug, never bad user input."""

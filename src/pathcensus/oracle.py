@@ -10,10 +10,11 @@ Hamiltonian oriented path, whose type is read off the up/down word of its
 arcs.  The census counts all n! orders at once with a Held–Karp subset DP
 that pulls each (vertex set, last vertex) count from the set without that
 vertex, one integer packing every word's count (see :func:`_order_counts`).
-It tallies each word's orders under the canonical key of the type that
-``signed_lift`` builds from its run lengths.  Each path is met exactly
-twice (once per direction), on one key both times, so the tallies are
-halved after an evenness check.
+Read backwards, an order's word becomes its mirror, the reversed
+complement, so the census keys each path once: the orders of the smaller
+word of a pair go to the canonical key of the type that ``signed_lift``
+builds from its run lengths, once the pair's counts agree, and a word that
+is its own mirror has its even count halved.
 
 Everything here is independent of the path-function engine on purpose: the
 two routes to the same counts check each other.
@@ -40,7 +41,7 @@ __all__ = [
     "count_type",
 ]
 
-# order 10 (10·2^9 packed pulls) takes ≈10 ms, order 12 ≈60 ms (2 vCPU,
+# order 10 (10·2^9 packed pulls) takes ≈8 ms, order 12 ≈50 ms (2 vCPU,
 # Python 3.11); the work keeps growing ≈2.5× per order past it, so larger
 # orders need --force
 CENSUS_LIMIT = 10
@@ -79,8 +80,7 @@ def make_tournament(n: int, winners) -> Tournament:
         if (out[i - 1] >> (j - 1) | out[j - 1] >> (i - 1)) & 1:
             raise ValueError(f"pair {(min(i, j), max(i, j))} oriented twice")
         out[i - 1] |= 1 << (j - 1)
-    missing = n * (n - 1) // 2 - sum(row.bit_count() for row in out)
-    if missing:
+    if missing := n * (n - 1) // 2 - sum(row.bit_count() for row in out):
         raise ValueError(f"{missing} pairs left unoriented")
     return Tournament(n, tuple(out))
 
@@ -170,8 +170,10 @@ def _order_counts(t: Tournament) -> list[int]:
 def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
     """Count every Hamiltonian oriented path of ``t``, grouped by type.
 
-    Tallies the order counts of :func:`_order_counts` by the canonical key
-    of each word's signed type, then halves each tally.  The total equals n!/2.
+    Keys each path once, under the signed type of the smaller of its two
+    words in :func:`_order_counts`, read forwards and backwards; a word that
+    is its own mirror meets each path twice, so its count is halved.  The
+    total equals n!/2.
     """
     _arcs(t)
     n = t.n
@@ -181,16 +183,17 @@ def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:
         raise TooLarge(f"census of order {n} exceeds the limit {limit}")
 
     counts: dict[tuple[int, ...], int] = {}
-    for word, orders in enumerate(_order_counts(t)):
-        if orders:
-            letters = format(word, f"0{n - 1}b")[::-1]  # arc 0 first
+    for word, count in enumerate(orders := _order_counts(t)):
+        letters = format(word, f"0{n - 1}b")[::-1]  # arc 0 first
+        mirror = int(letters, 2) ^ (1 << n - 1) - 1  # each order read backwards
+        if word == mirror and count % 2:
+            raise TheoremViolation(f"odd count {count} for the symmetric word {letters}")
+        if word < mirror and count != orders[mirror]:
+            raise TheoremViolation(f"word {letters}: {count} orders, its mirror {orders[mirror]}")
+        if count and word <= mirror:
             runs = [len(list(run)) for _, run in groupby(letters)]
             key = canonical_key(signed_lift(runs, bool(word & 1)))
-            counts[key] = counts.get(key, 0) + orders
-    for key, value in counts.items():
-        if value % 2:
-            raise TheoremViolation(f"odd tally {value} for type {key} before halving")
-        counts[key] = value // 2
+            counts[key] = count if word < mirror else count // 2
     return TypeCensus(counts=counts)
 
 

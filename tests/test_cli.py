@@ -422,6 +422,35 @@ def test_broken_guarantee_exits_one(capsys, monkeypatch):
     assert err == "error: symmetric type (2, -2) has odd path-function value 7\n"
 
 
+def test_scan_values_off_their_sum_exit_one(capsys, monkeypatch):
+    # one row off by one: the values of p = 4 sum to 61, not 5!/2 = 60
+    rows = list(analysis.f_walk(4))
+    rows[0] = (rows[0][0], rows[0][1] + 1)
+    monkeypatch.setattr(analysis, "f_walk", lambda p: iter(rows))
+    code, out, err = run(capsys, "scan", "-p", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: the values of total 4 sum to 61, not 5!/2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "1000000000000,1000000000000"],
+        ["census", "-n", "2000000000001", "--", "1000000000000,-1000000000000"],
+    ],
+)
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, argv):
+    # an end block that long makes the rank DP's vector raise MemoryError;
+    # raised here instead of allocated, which only fails fast where the
+    # kernel refuses the request
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "f_value", out_of_memory)
+    monkeypatch.setattr(analysis, "f_value", out_of_memory)
+    assert run(capsys, *argv) == (2, "", "error: out of memory\n")
+
+
 # JSON counts ----------------------------------------------------------------------
 
 BIG = 107507208733336176461620  # C(80, 40), far past 2^53

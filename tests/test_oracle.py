@@ -334,15 +334,24 @@ def test_antidirected_balance():
 
 
 def test_every_accumulated_count_was_even():
-    # census would raise if a raw tally came out odd; run a few shapes
+    # census would raise if a word's orders did not pair off with its
+    # mirror's; run a few shapes
     for seed in range(3):
         census(make_random(5, seed))
 
 
-def test_census_refuses_an_odd_tally(monkeypatch):
-    # words 0 (down, down) and 3 (up, up) both fold into (2,): 1 + 2 orders
+def test_census_refuses_a_word_unlike_its_mirror(monkeypatch):
+    # words 0 (down, down) and 3 (up, up) are mirrors: 1 order against 2
     monkeypatch.setattr(oracle, "_order_counts", lambda t: [1, 2, 0, 2])
-    with pytest.raises(TheoremViolation, match=r"odd tally 3 for type \(2,\) before halving"):
+    with pytest.raises(TheoremViolation, match=r"^word 00: 1 orders, its mirror 2$"):
+        census(make_transitive(3))
+
+
+def test_census_refuses_an_odd_symmetric_word(monkeypatch):
+    # words 1 (up, down) and 2 (down, up) are their own mirrors: 3 orders
+    # cannot pair off by reversal
+    monkeypatch.setattr(oracle, "_order_counts", lambda t: [0, 3, 2, 0])
+    with pytest.raises(TheoremViolation, match=r"^odd count 3 for the symmetric word 10$"):
         census(make_transitive(3))
 
 
