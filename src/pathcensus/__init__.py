@@ -1,5 +1,5 @@
 """Exact per-type counts of oriented Hamiltonian paths in transitive
-tournaments, with a brute-force oracle and scan/ranking tools."""
+tournaments, with a subset-DP vertex-order census and scan/ranking tools."""
 
 # Each module's __all__ is the one list of its public names; errors has no
 # __all__, so its star import exports every public name it defines, which

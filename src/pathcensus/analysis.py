@@ -6,11 +6,11 @@ halved when the type is symmetric (its paths read the same both ways).  On
 top of that sit a full scan of a total's compositions, the all-ones maximum
 checker, the property suite, and :func:`verify_against_oracle`, which checks
 the vertex-order census on transitive, nearly-transitive or seeded random
-tournaments with one census per order: complementing flips every letter of
-every word, and a flipped word folds to the negated type, so the
-complement's tally is N_{Tᶜ}(a) = N_T(−a) (criterion 6 and
-``tests/test_oracle.py`` still census the complement).  Results are
-immutable named tuples of exact ints, rendered by the CLI alone.
+tournaments with one census and one tally list per order: the total n!/2,
+the complement's tally N_{Tᶜ}(a) = N_T(−a) relabelled from the same census,
+and, on TT_n, the engine's count at the census's own keys; every type of
+TT_n has a path, so no type escapes the list.  Results are immutable named
+tuples of exact ints, rendered by the CLI alone.
 """
 
 from math import factorial
@@ -20,16 +20,7 @@ from typing import NamedTuple
 from .engine import MemoTable, _top_compositions, f_two_block, f_value, f_walk
 from .errors import OutOfRange, TheoremViolation, TooLarge
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive
-from .types import (
-    _check_type_order,
-    canonical_key,
-    compositions,
-    format_entries,
-    is_symmetric,
-    negate,
-    signed_lift,
-    unsigned,
-)
+from .types import _check_type_order, canonical_key, format_entries, is_symmetric, negate, unsigned
 
 __all__ = [
     "DEFAULT_SCAN_LIMIT",
@@ -171,9 +162,10 @@ def check_conjectures(
     value at total m, is read off total m's verdict, exact as its runner-up
     is at least F(pattern) >= T_m: the bound rests on nothing but this run.
 
-    The all-ones values come from :func:`f_value`, a second route.
-    Violations are findings, not errors: a verdict carries them as witnesses
-    and its ``ok`` turns false.
+    The all-ones values come from :func:`f_value`, a second route, and a walk
+    whose all-ones row differs raises :class:`TheoremViolation`.  Violations
+    of the observations are findings, not errors: a verdict carries them as
+    witnesses and its ``ok`` turns false.
     """
     if max_p < 3:
         raise OutOfRange(f"conjecture check needs p >= 3, got {max_p}")
@@ -185,10 +177,12 @@ def check_conjectures(
         ones = f_value((1,) * p, memo)
         floor = min(ones, f_value(runner_up_pattern(p)))  # kept out of memo
         # never empty: the pattern reaches the floor, so the walk yields it
-        rows = [(c, v) for c, v in _top_compositions(p, floor, best) if len(c) < p]
-        runner = max(v for _, v in rows)
-        attainers = sorted(c for c, v in rows if v == runner)
-        beating = sorted(c for c, v in rows if v >= ones)
+        rows = dict(_top_compositions(p, floor, best))
+        if (walked := rows.pop((1,) * p, None)) != ones:
+            raise TheoremViolation(f"F(1,...,1) at p={p} is {ones}, but the walk gives {walked}")
+        runner = max(rows.values())
+        attainers = sorted(c for c, v in rows.items() if v == runner)
+        beating = sorted(c for c, v in rows.items() if v >= ones)
         verdicts.append(_verdict(p, ones, runner, attainers, beating))
         best.append(max(ones, runner))
     return verdicts
@@ -373,7 +367,7 @@ def run_property_suite(limit: int = 16) -> PropertySuiteReport:
 
 
 # ---------------------------------------------------------------------------
-# differential verification against the brute-force oracle
+# differential verification against the vertex-order census
 
 
 class Discrepancy(NamedTuple):
@@ -417,16 +411,26 @@ def verify_against_oracle(
 ) -> OracleDiffReport:
     """Check the vertex-order census on one tournament family at every order
     3..``max_n``: ``"transitive"``, ``"nearly"`` or ``"random"`` (``seed`` is
-    read by ``"random"`` alone).  Each order compares a list of tallies, one
-    check per key and, per mismatch, one :class:`Discrepancy` with its note:
+    read by ``"random"`` alone).  Each order runs one census and compares one
+    list of tallies, one check per key and, per mismatch, one
+    :class:`Discrepancy` with its note:
 
-    - transitive: the census against the path-function route (``transitive-census``);
-    - nearly and random: the census total against n!/2 (``partition``), then
-      the census against the complement's, N_{Tᶜ}(a) = N_T(−a), as complementing
+    - every kind: the census total against n!/2 (``partition``), then the
+      census against the complement's, N_{Tᶜ}(a) = N_T(−a), as complementing
       flips every letter, so negates every type (``complement``; tests census Tᶜ);
+    - transitive: the engine's count at each census key (``transitive-census``);
     - nearly: the directed-path count against 2^(n-2) + 1 (``directed-count``).
+
+    Every type of TT_n has a path, so a key the census drops breaks
+    ``partition`` or the key its count moved to, a key out of canonical form
+    breaks ``complement``, and a wrong count ``transitive-census``.
     """
-    if kind not in ("transitive", "nearly", "random"):
+    builders = {
+        "transitive": make_transitive,
+        "nearly": make_nearly_transitive,
+        "random": lambda n: make_random(n, seed),
+    }
+    if kind not in builders:
         raise ValueError(f"unknown tournament kind: {kind!r}")
     # refuse before the first census, not after the orders below the limit
     if max_n < 3:
@@ -436,21 +440,16 @@ def verify_against_oracle(
     checks = 0
     discrepancies = []
     for n in range(3, max_n + 1):
+        cen = census(builders[kind](n), limit=limit)
+        tallies = [
+            ({"(total)": cen.total()}, {"(total)": factorial(n) // 2}, "partition"),
+            (cen.counts, {canonical_key(negate(k)): v for k, v in cen.counts.items()}, "complement"),
+        ]
         if kind == "transitive":
-            cen = census(make_transitive(n), limit=limit)
-            lifts = (signed_lift(c, lead) for c in compositions(n - 1) for lead in (True, False))
-            expected = {key: tt_count(n, key) for key in set(map(canonical_key, lifts))}
-            tallies = [(cen.counts, expected, "transitive-census")]
-        else:
-            t = make_nearly_transitive(n) if kind == "nearly" else make_random(n, seed)
-            cen = census(t, limit=limit)
-            tallies = [
-                ({"(total)": cen.total()}, {"(total)": factorial(n) // 2}, "partition"),
-                (cen.counts, {canonical_key(negate(k)): v for k, v in cen.counts.items()}, "complement"),
-            ]
-            if kind == "nearly":
-                directed = {(n - 1,): cen.counts.get((n - 1,), 0)}
-                tallies.append((directed, {(n - 1,): 2 ** (n - 2) + 1}, "directed-count"))
+            tallies.append((cen.counts, {k: tt_count(n, k) for k in cen.counts}, "transitive-census"))
+        elif kind == "nearly":
+            directed = {(n - 1,): cen.counts.get((n - 1,), 0)}
+            tallies.append((directed, {(n - 1,): 2 ** (n - 2) + 1}, "directed-count"))
         for got, want, note in tallies:
             checks += _compare(n, got, want, note, discrepancies)
     return OracleDiffReport(

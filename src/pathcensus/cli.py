@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_conjecture)
 
-    p = sub.add_parser("verify", help="cross-check counts against brute force")
+    p = sub.add_parser("verify", help="cross-check counts against the vertex-order census")
     p.add_argument(
         "--max-n", type=int, default=8, help="check every order 3..MAX_N (default: 8)"
     )

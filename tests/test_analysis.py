@@ -492,8 +492,11 @@ def test_verify_rejects_unknown_kind():
 
 def test_verify_check_totals_at_n9():
     # every kind's number of checks up to n = 9, so that a check gained or
-    # lost shows; only the random kind reports its seed
-    totals = [("transitive", 0, 269), ("nearly", 0, 281), ("random", 0, 274), ("random", 5, 274)]
+    # lost shows; only the random kind reports its seed.  TT_n's census has
+    # one key per canonical type, K = 3, 4, 10, 16, 36, 64, 136 at n = 3..9,
+    # and transitive checks 2K + 1 per order (the total, then K keys each for
+    # `complement` and `transitive-census`): 2 · 269 + 7 = 545
+    totals = [("transitive", 0, 545), ("nearly", 0, 281), ("random", 0, 274), ("random", 5, 274)]
     for kind, seed, checks in totals:
         report = verify_against_oracle(9, kind, seed)
         assert (report.kind, report.checks, report.ok) == (kind, checks, True)
@@ -578,14 +581,52 @@ def test_verify_reports_a_wrong_nearly_directed_count(monkeypatch):
 
 def test_verify_reports_a_transitive_census_off_the_path_function(monkeypatch):
     # TT_n has one directed path; (1, -(n-2)) counts F(1, 1)/2 = 1 at n = 3
-    # (symmetric) and F(1, 2) = 3 at n = 4
+    # (symmetric) and F(1, 2) = 3 at n = 4.  The total holds.  The moved path
+    # breaks `complement` on (-1, n-2) and (1, -(n-2)), "-1,…" sorting first:
+    # N(-1, 1) = 1 against N(1, -1) = 2 at n = 3, and N(-1, 2) = 3 against
+    # N(1, -2) = 4 at n = 4.  Then `transitive-census` reads the engine at the
+    # census's own keys: (1, -(n-2)) one too many, and (n-1) one too few
     doctor_census(monkeypatch, move_a_directed_path)
     report = verify_against_oracle(4)
     assert report.discrepancies == [
+        Discrepancy(3, "-1,1", 1, 2, "complement"),
+        Discrepancy(3, "1,-1", 2, 1, "complement"),
         Discrepancy(3, "1,-1", 2, 1, "transitive-census"),
         Discrepancy(3, "2", 0, 1, "transitive-census"),
+        Discrepancy(4, "-1,2", 3, 4, "complement"),
+        Discrepancy(4, "1,-2", 4, 3, "complement"),
         Discrepancy(4, "1,-2", 4, 3, "transitive-census"),
         Discrepancy(4, "3", 0, 1, "transitive-census"),
+    ]
+
+
+def test_verify_reports_a_dropped_transitive_key_as_partition(monkeypatch):
+    # the directed path's key (n-1) deleted: the total reads n!/2 - 1, while
+    # the complement's tally, relabelled from the same census, lacks the key
+    # too, and the engine is read at the census's keys alone
+    doctor_census(monkeypatch, lambda n, counts: counts.pop((n - 1,)))
+    report = verify_against_oracle(5)
+    assert report.discrepancies == [
+        Discrepancy(3, "(total)", 2, 3, "partition"),
+        Discrepancy(4, "(total)", 11, 12, "partition"),
+        Discrepancy(5, "(total)", 59, 60, "partition"),
+    ]
+
+
+def test_verify_reports_a_non_canonical_transitive_key_as_complement(monkeypatch):
+    # the directed path keyed (-(n-1)), the same path set as (n-1) but not its
+    # canonical key: the count and the total hold, and F(n-1) = 1 is the
+    # engine's count at either key, yet negation sends (-(n-1)) to (n-1), so
+    # the complement's tally has the count at (n-1) and none at (-(n-1))
+    def rename(n, counts):
+        counts[(1 - n,)] = counts.pop((n - 1,))
+
+    doctor_census(monkeypatch, rename)
+    report = verify_against_oracle(5)
+    assert report.discrepancies == [
+        Discrepancy(n, key, got, want, "complement")
+        for n in (3, 4, 5)
+        for key, got, want in [(f"-{n - 1}", 1, 0), (f"{n - 1}", 0, 1)]
     ]
 
 

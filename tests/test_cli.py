@@ -271,10 +271,23 @@ def test_scan_p1_is_usage_error(capsys):
     assert run(capsys, "scan", "-p", "1")[0] == 2
 
 
-def test_scan_jobs_identical_output(capsys):
-    _, serial, _ = run(capsys, "scan", "-p", "8")
-    _, parallel, _ = run(capsys, "scan", "-p", "8", "--jobs", "2")
-    assert serial == parallel
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "1,2,1,1"],
+        ["census", "-n", "6", "2,-3"],
+        ["scan", "-p", "8"],
+        ["conjecture", "--max-p", "8"],
+        ["bench", "-p", "8"],
+        ["verify", "--max-n", "6", "--kind", "nearly"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_jobs_identical_output(capsys, argv, fmt):
+    # the same exit code and stdout with --jobs 2 as without it
+    serial = run(capsys, *argv, "--format", fmt)[:2]
+    assert run(capsys, *argv, "--format", fmt, "--jobs", "2")[:2] == serial
 
 
 def test_scan_deterministic_bytes(capsys):
@@ -350,6 +363,16 @@ def test_conjecture_violation_exits_one(capsys, monkeypatch):
     (verdict,) = json.loads(out)["verdicts"]
     assert verdict["witnesses"] == ["3"]
     assert verdict_from_json(verdict) == fake
+
+
+def test_conjecture_walk_off_f_value_exits_one(capsys, monkeypatch):
+    # f_value one above the pruned walk on every all-ones composition: the
+    # two routes to F(1,...,1) part at p = 3, a TheoremViolation
+    real = analysis.f_value
+    monkeypatch.setattr(analysis, "f_value", lambda c, memo=None: real(c, memo) + (set(c) == {1}))
+    code, out, err = run(capsys, "conjecture", "--max-p", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: F(1,...,1) at p=3 is 6, but the walk gives 5\n"
 
 
 # verify ----------------------------------------------------------------------------
