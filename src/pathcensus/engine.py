@@ -14,7 +14,7 @@ last element placed and one prefix-sum pass per step, in three forms.
 :func:`f_value` values one composition in O(p^2) additions at most, with
 both end blocks in closed form.  :func:`f_walk` values every composition of
 ``p`` at once, in ascending order, by O(p^2) steps on integers that pack
-one field per composition.  The pruned walk ``_top_compositions`` yields
+one field per composition (the layout of :func:`types._unpack`).  The pruned walk ``_top_compositions`` yields
 the compositions that can reach a floor, depth first: by the split identity
 the completions of a word w of total k sum to C(p+1, k+1)·F(w)·F(u) over
 the junction letter, and a word whose bound C(p+1, k+1)·F(w)·(largest value
@@ -33,7 +33,7 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .errors import OutOfRange
-from .types import _check_total, check_composition, compositions, derive_children
+from .types import _check_total, _unpack, check_composition, compositions, derive_children
 
 __all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
 
@@ -101,19 +101,20 @@ def f_walk(p: int) -> Iterator[tuple[tuple[int, ...], int]]:
     The rank DP of :func:`f_value` run on every up/down word that starts
     with an ascent at once, one word length k per level, ranks read in the
     direction of the current block: entry ``i`` of the level's vector
-    packs, one fixed-width field per word, the count of permutations of
-    ``1..k+1`` with that word whose last element has rank ``i``.  Field
-    ``w`` records where the blocks end: letter ``j >= 1`` continues its
-    block when bit ``j - 1`` of ``w`` is set and starts a new one when it
-    is clear.  So a shift, an add and a subtraction per entry extend every
-    word both ways, and the vector's sum holds every value of total k.
-    The last letter is the top bit, so the fields in order belong to the
-    reversed compositions in ascending order; F(c) = F(reversed c) makes
-    them the values of the compositions in ascending order.
+    packs, one field per word (the layout of :func:`types._unpack`), the
+    count of permutations of ``1..k+1`` with that word whose last element
+    has rank ``i``.  Field ``w`` records where the blocks end: letter
+    ``j >= 1`` continues its block when bit ``j - 1`` of ``w`` is set and
+    starts a new one when it is clear.  So a shift, an add and a
+    subtraction per entry extend every word both ways, and the vector's
+    sum holds every value of total k.  The last letter is the top bit, so
+    the fields in order belong to the reversed compositions in ascending
+    order; F(c) = F(reversed c) makes them the values of the compositions
+    in ascending order.
     """
     _check_total(p)
-    # a field never carries, as no count exceeds (p+1)!; at least 8 bytes,
-    # so up to p = 19 a level's fields decode in one cast
+    # wide enough for (p+1)!, and at least 8 bytes, so that up to p = 19
+    # the fields take _unpack's one-call branch
     size = max(8, (factorial(p + 1).bit_length() + 7) // 8)
     x, total = [0, 1], 1
     for k in range(1, p):
@@ -132,15 +133,7 @@ def f_walk(p: int) -> Iterator[tuple[tuple[int, ...], int]]:
             u = sum(x)
             total = (u << shift) + (k + 2) * total - u
             del x, u  # freed before the compositions are built
-    return zip(reversed(compositions(p)), _fields(total, p, size))
-
-
-def _fields(packed: int, k: int, size: int) -> list[int]:
-    # the 2**(k-1) fields of size bytes each, lowest first
-    data = packed.to_bytes(size << (k - 1), "little")
-    if size == 8 and sys.byteorder == "little":
-        return memoryview(data).cast("Q").tolist()
-    return [int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return zip(reversed(compositions(p)), _unpack(total, 1 << (p - 1), size))
 
 
 def _top_compositions(p, floor, best):

@@ -9,7 +9,8 @@ refuse masks that it would not build.  Every vertex order traces a
 Hamiltonian oriented path, whose type is read off the up/down word of its
 arcs.  The census counts all n! orders at once with a Held–Karp subset DP
 that pulls each (vertex set, last vertex) count from the set without that
-vertex, one integer packing every word's count (see :func:`_order_counts`).
+vertex, one integer packing every word's count in the fields that
+:func:`types._unpack` decodes (see :func:`_order_counts`).
 Read backwards, an order's word becomes its mirror, the reversed
 complement, so the census keys each path once: the orders of the smaller
 word of a pair go to the canonical key of the type that ``signed_lift``
@@ -26,7 +27,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import OutOfRange, TheoremViolation, TooLarge
-from .types import _check_type_order, canonical_key, signed_lift
+from .types import _check_type_order, _unpack, canonical_key, signed_lift
 
 __all__ = [
     "CENSUS_LIMIT",
@@ -104,7 +105,7 @@ def make_random(n: int, seed: int) -> Tournament:
     Mersenne-Twister stream seeded with ``seed``.  Python promises a stable
     seeded ``random()`` only, not ``getrandbits``, so
     ``tests/test_oracle.py::test_make_random_stream_is_stable`` pins this
-    stream; CI runs it on Python 3.10, 3.11 and 3.12.
+    stream; CI runs it on Python 3.10 to 3.13.
     """
     rng = random.Random(seed)
     return make_tournament(n, [(i, j) if rng.getrandbits(1) else (j, i) for i, j in _pairs(n)])
@@ -139,13 +140,12 @@ def _order_counts(t: Tournament) -> list[int]:
 
     A subset DP over vertex sets, one layer of sets per size, that packs
     every word into one integer: each set S holds a row of n ints whose
-    entry v counts, in field ``w`` of ``width`` bits, the orders of S that
-    end at v and have word ``w``.  Adding v to S at arc k pulls every order
-    of S at once: those ending at a vertex that beats v ascend, so their
-    sum moves up by ``width << k``, and the rest keep their fields.  That
-    is n·2^(n-1) (set, vertex) pairs, each summing at most n - 1 entries of
-    one row.  Every field counts fewer than n! orders and is wide enough to
-    hold n!, so no field ever carries into the next.
+    entry v counts, in field ``w``, the orders of S that end at v and have
+    word ``w`` (the layout of :func:`types._unpack`, each field just wide
+    enough for n!).  Adding v to S at arc k pulls every order of S at once:
+    those ending at a vertex that beats v ascend, so their sum moves up by
+    ``width << k``, and the rest keep their fields.  That is n·2^(n-1)
+    (set, vertex) pairs, each summing at most n - 1 entries of one row.
     """
     n = t.n
     nbytes = (factorial(n).bit_length() + 7) // 8
@@ -162,9 +162,7 @@ def _order_counts(t: Tournament) -> list[int]:
                     up = sum(compress(row, into[v]))
                     nxt.setdefault(seen | 1 << v, [0] * n)[v] = (up << shift) + total - up
         ends = nxt
-
-    raw = sum(ends[(1 << n) - 1]).to_bytes(nbytes << (n - 1), "little")
-    return [int.from_bytes(raw[i : i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    return _unpack(sum(ends[(1 << n) - 1]), 1 << (n - 1), nbytes)
 
 
 def census(t: Tournament, *, limit: int | None = CENSUS_LIMIT) -> TypeCensus:

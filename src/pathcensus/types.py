@@ -12,6 +12,7 @@ signed type ``a`` and ``negate(reverse(a))`` describe the same path set;
 a dictionary key.
 """
 
+import struct
 import sys
 from collections.abc import Sequence
 
@@ -114,6 +115,29 @@ def _check_total(total: int) -> None:
     # a total's 2**(total-1) compositions must fit the machine's index range
     if not 1 <= total <= sys.maxsize.bit_length():
         raise OutOfRange(f"total must be 1..{sys.maxsize.bit_length()}, got {total}")
+
+
+def _unpack(packed: int, count: int, nbytes: int) -> list[int]:
+    """The ``count`` fields of ``nbytes`` bytes each in ``packed``, lowest
+    first.
+
+    Both packed DPs, the engine's walk over every composition of a total
+    and the oracle's census over every up/down word, hold one count per
+    word in one big integer: field ``w`` is bits ``8·nbytes·w`` to
+    ``8·nbytes·(w + 1) - 1``, little-endian.  They step by shifts, sums,
+    small multiples and differences of whole packed integers, and each
+    difference takes from every field at most what that field holds, so
+    no field ever borrows from the next.  Nor does one carry into the
+    next, as long as each count fits its field: the walk's counts are at
+    most (p+1)! and the census's at most n!, and each DP sizes its fields
+    to hold that bound.  So every field decoded here is exactly its word's
+    count.  Eight-byte fields decode in one ``struct`` call, whatever the
+    host's byte order; other widths one slice at a time.
+    """
+    data = packed.to_bytes(count * nbytes, "little")
+    if nbytes == 8:
+        return list(struct.unpack(f"<{count}Q", data))
+    return [int.from_bytes(data[i : i + nbytes], "little") for i in range(0, len(data), nbytes)]
 
 
 def compositions(total: int) -> list[tuple[int, ...]]:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from pathcensus.errors import OutOfRange, ParseError
 from pathcensus.types import (
+    _unpack,
     canonical_key,
     compositions,
     derive_children,
@@ -302,6 +303,33 @@ def test_compositions_refuses_a_total_past_the_index_range(total):
     # 2**63 compositions pass sys.maxsize on 64-bit: refused before any is made
     with pytest.raises(OutOfRange, match=rf"total must be 1\.\.\d+, got {total}"):
         compositions(total)
+
+
+# packed fields ------------------------------------------------------------------
+
+def pack(fields, nbytes):
+    return sum(f << (8 * nbytes * w) for w, f in enumerate(fields))
+
+
+# 8 bytes takes the one-call branch, every other width the sliced one
+@pytest.mark.parametrize("nbytes", range(1, 10))
+@pytest.mark.parametrize("count", [1, 2, 4, 8, 256])
+def test_unpack_keeps_empty_and_full_neighbours_apart(nbytes, count):
+    # a field at 0 beside one at 2^(8·nbytes) - 1, both ways round: a carry
+    # or a slice shifted by one byte changes some field; 1 beside full - 1
+    # also changes under a reversed byte order
+    full = (1 << 8 * nbytes) - 1
+    for low, high in [(0, full), (full, 0), (1, full - 1)]:
+        fields = [high if w % 2 else low for w in range(count)]
+        got = _unpack(pack(fields, nbytes), count, nbytes)
+        assert type(got) is list
+        assert got == fields, (nbytes, count, low)
+
+
+@given(st.integers(1, 9), st.data())
+def test_unpack_inverts_packing(nbytes, data):
+    fields = data.draw(st.lists(st.integers(0, (1 << 8 * nbytes) - 1), min_size=1, max_size=40))
+    assert _unpack(pack(fields, nbytes), len(fields), nbytes) == fields
 
 
 # parsing ----------------------------------------------------------------------
