@@ -20,7 +20,16 @@ from typing import NamedTuple
 from .engine import MemoTable, _top_compositions, f_two_block, f_value, f_walk
 from .errors import OutOfRange, TheoremViolation, TooLarge
 from .oracle import CENSUS_LIMIT, census, make_nearly_transitive, make_random, make_transitive
-from .types import _check_type_order, canonical_key, format_entries, is_symmetric, negate, unsigned
+from .types import (
+    _check_type_order,
+    canonical_key,
+    compositions,
+    derive_children,
+    format_entries,
+    is_symmetric,
+    negate,
+    unsigned,
+)
 
 __all__ = [
     "DEFAULT_SCAN_LIMIT",
@@ -298,6 +307,15 @@ def _four_block_swap(limit):
                     yield (m, s - a, a, n), (m, a, s - a, n), True
 
 
+def _recurrence(limit, memo):
+    # F's definition at every composition: children are one total down, so
+    # their values are already in memo when their parent's claim is made
+    yield (1,), 1
+    for total in range(2, limit + 1):
+        for c in compositions(total):
+            yield c, sum(f_value(ch, memo) for ch in derive_children(c))
+
+
 # exact relations quoted for the refuted general claims
 _PRINTED_RELATIONS = [
     ((3, 3), 20), ((1, 1, 4), 20),
@@ -330,7 +348,8 @@ def _check(instances, memo) -> tuple[int, list[str]]:
 
 
 def run_property_suite(limit: int = 16) -> PropertySuiteReport:
-    """Exhaustively check the known inequality families up to ``limit`` total.
+    """Exhaustively check the known families of values and orders up to
+    ``limit`` total.
 
     Each family claims, for every instance of total at most ``limit``
     (compared compositions share their total):
@@ -343,7 +362,12 @@ def run_property_suite(limit: int = 16) -> PropertySuiteReport:
     - ``three_block_middle``: F(m,a,n) < F(m′,a,n′) iff mn < m′n′;
     - ``four_block_swap``: F(m,a,b,n) > F(m,b,a,n) for m < n and a < b;
     - ``printed_relations``: the 23 exact values and orders quoted against
-      the refuted general claims, whatever ``limit``.
+      the refuted general claims, whatever ``limit``;
+    - ``recurrence``: F(1) = 1, and F(c) is the sum of F over
+      ``derive_children(c)`` for every c of total 2..``limit``.
+
+    Those claims are F's definition, so a clean ``recurrence`` pins the engine
+    to F at every total up to ``limit``, by induction on the total.
 
     Failures are report content, not exceptions: a false instance lands in
     the family's failure list, named by its compositions and relation.  A
@@ -361,6 +385,7 @@ def run_property_suite(limit: int = 16) -> PropertySuiteReport:
         ("three_block_middle", _three_block_middle(limit)),
         ("four_block_swap", _four_block_swap(limit)),
         ("printed_relations", _PRINTED_RELATIONS),
+        ("recurrence", _recurrence(limit, memo)),
     ]
     families = [FamilyResult(name, *_check(family, memo)) for name, family in instances]
     return PropertySuiteReport(limit=limit, families=families)

@@ -19,9 +19,9 @@ the compositions that can reach a floor, depth first: by the split identity
 the completions of a word w of total k sum to C(p+1, k+1)·F(w)·F(u) over
 the junction letter, and a word whose bound C(p+1, k+1)·F(w)·(largest value
 at total p-k-1) falls short of the floor is dropped with its subtree.
-:func:`f_recurrence` evaluates the defining recurrence on an explicit stack;
-it is exponential and kept as the independent reference the tests compare
-the DP against.
+The defining recurrence is exponential, so nothing here evaluates it:
+``analysis.run_property_suite`` checks it on the DP's values at every
+composition up to its limit, and the tests keep it as the reference route.
 Results are cached in memory only, in a :class:`MemoTable`: a dict with
 one entry for a composition and its reversal, as the function is invariant
 under reversal.
@@ -33,9 +33,9 @@ from itertools import accumulate
 from math import comb, factorial
 
 from .errors import OutOfRange
-from .types import _check_total, _unpack, check_composition, compositions, derive_children
+from .types import _check_total, _unpack, check_composition, compositions
 
-__all__ = ["MemoTable", "f_value", "f_walk", "f_recurrence", "f_two_block"]
+__all__ = ["MemoTable", "f_value", "f_walk", "f_two_block"]
 
 
 class MemoTable(dict):
@@ -152,45 +152,14 @@ def _top_compositions(p, floor, best):
             stack.append((comp + (1,), [0, *accumulate(reversed(x))]))
 
 
-def f_recurrence(c, memo: MemoTable | None = None) -> int:
-    """Path-function value from the defining recurrence (reference route).
-
-    Walks an explicit stack instead of recursing, so the composition total
-    never threatens the interpreter stack, and stores every intermediate
-    composition in ``memo``.  Exponential in the total; the tests compare
-    :func:`f_value` and :func:`f_walk` against it.
-    """
-    comp = check_composition(c)
-    if memo is None:
-        memo = MemoTable()
-    stack = [comp]
-    while stack:
-        cur = stack[-1]
-        key = _key(cur)
-        if key in memo:
-            stack.pop()
-            continue
-        if len(cur) == 1:
-            memo[key] = 1
-            stack.pop()
-            continue
-        children = derive_children(cur)
-        todo = [ch for ch in children if _key(ch) not in memo]
-        if todo:
-            stack.extend(todo)
-        else:
-            memo[key] = sum(memo[_key(ch)] for ch in children)
-            stack.pop()
-    return memo[_key(comp)]
-
-
 def f_two_block(m: int, n: int) -> int:
     """Closed form for two-block values: ``C(m+n, m)``.
 
-    The recurrence never uses it, so ``f_recurrence((m, n)) ==
-    f_two_block(m, n)`` is a genuine cross-check.  For two blocks the rank
-    DP's hockey-stick sum has this same binomial as its one term, so
-    against :func:`f_value` the identity checks nothing.
+    For two blocks the rank DP's hockey-stick sum has this same binomial as
+    its one term, so against :func:`f_value` alone the identity checks
+    nothing.  The property suite's ``recurrence`` family holds the DP to
+    F(m, n) = F(m-1, n) + F(m, n-1), Pascal's rule, which never uses this
+    form; so its ``two_block_value`` family is a genuine cross-check.
     """
     if m < 1 or n < 1:
         raise OutOfRange(f"block lengths must be positive, got ({m}, {n})")

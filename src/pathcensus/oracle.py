@@ -105,8 +105,12 @@ def make_random(n: int, seed: int) -> Tournament:
     Mersenne-Twister stream seeded with ``seed``.  Python promises a stable
     seeded ``random()`` only, not ``getrandbits``, so
     ``tests/test_oracle.py::test_make_random_stream_is_stable`` pins this
-    stream; CI runs it on Python 3.10 to 3.13.
+    stream; CI runs it on Python 3.10 to 3.13.  A seed must be an ``int``
+    (not a ``bool``): ``random.Random(None)`` would seed from the operating
+    system, a different tournament on every call.
     """
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     rng = random.Random(seed)
     return make_tournament(n, [(i, j) if rng.getrandbits(1) else (j, i) for i, j in _pairs(n)])
 

@@ -1,12 +1,15 @@
 """Transitive counts, scans, observation checks, suites, and oracle checks."""
 
 import json
+import re
 import time
+from ast import literal_eval
 from itertools import groupby, product, takewhile
 from math import comb, factorial
 from operator import itemgetter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pathcensus import analysis, cli
 from pathcensus.analysis import (
@@ -388,6 +391,7 @@ def test_property_suite_clean_at_total_12():
         "three_block_middle",
         "four_block_swap",
         "printed_relations",
+        "recurrence",
     ]
     assert all(f.checked > 0 for f in report.families)
     assert report.family("printed_relations").checked == 23
@@ -400,7 +404,10 @@ def test_property_suite_family_refuses_an_unknown_name():
 
 @pytest.mark.parametrize(
     "limit,counts",
-    [(12, [66, 506, 219, 1210, 1210, 80, 23]), (16, [120, 1240, 559, 4200, 4200, 336, 23])],
+    [
+        (12, [66, 506, 219, 1210, 1210, 80, 23, 4095]),
+        (16, [120, 1240, 559, 4200, 4200, 336, 23, 65535]),
+    ],
 )
 def test_property_suite_checks_a_fixed_number_of_instances(limit, counts):
     report = run_property_suite(limit)
@@ -420,6 +427,21 @@ def test_property_suite_reports_a_wrong_value(monkeypatch):
         failures = report.family(name).failures
         assert any("(3,4)" in f.replace(" ", "") for f in failures), (name, failures)
     assert [f.checked for f in report.families] == [f.checked for f in clean.families]
+
+
+@given(st.integers(1, 7).flatmap(lambda total: st.sampled_from(compositions(total))))
+@example((2, 1))  # (2, 1) and its five parents (3,1) (2,2) (2,1,1) (1,2,1) (1,1,1,1)
+@settings(max_examples=25, deadline=None)
+def test_recurrence_names_a_wrong_value_and_its_parents(c):
+    # F(c) one too high breaks c's own claim and the claim of every
+    # composition with c among its children, and no other
+    real = analysis.f_value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "f_value", lambda d, memo=None: real(d, memo) + (tuple(d) == c))
+        failures = run_property_suite(8).family("recurrence").failures
+    named = [literal_eval(re.match(r"F(\(.*?\)) == ", f)[1]) for f in failures]
+    parents = [d for t in range(2, 9) for d in compositions(t) if c in derive_children(d)]
+    assert sorted(named) == sorted([c, *parents])
 
 
 def test_three_block_prefix_catches_known_ordering():
@@ -464,8 +486,9 @@ def test_verify_against_oracle_random():
         (lambda: verify_against_oracle(11, "nearly"), TooLarge, "census of order 11 exceeds"),
         (lambda: verify_against_oracle(2), OutOfRange, "needs max_n >= 3"),
         (lambda: verify_against_oracle(2, "random"), OutOfRange, "needs max_n >= 3"),
+        (lambda: verify_against_oracle(6, "random", seed=None), ValueError, "seed must be an int"),
     ],
-    ids=["oracle-11", "nearly-11", "oracle-2", "random-2"],
+    ids=["oracle-11", "nearly-11", "oracle-2", "random-2", "random-seed-None"],
 )
 def test_verify_refuses_before_any_census(monkeypatch, call, error, message):
     calls = []

@@ -11,9 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from pathcensus import engine
 from pathcensus.analysis import check_conjecture, scan
-from pathcensus.engine import MemoTable, f_recurrence, f_two_block, f_value, f_walk
+from pathcensus.engine import MemoTable, f_two_block, f_value, f_walk
 from pathcensus.errors import OutOfRange, ParseError
-from pathcensus.types import compositions, parse_composition, signed_lift
+from pathcensus.types import (
+    check_composition,
+    compositions,
+    derive_children,
+    parse_composition,
+    signed_lift,
+)
 
 comps = st.lists(st.integers(1, 4), min_size=1, max_size=5).map(tuple)
 
@@ -33,6 +39,39 @@ def pattern_count(comp):
         if all((perm[i] < perm[i + 1]) == word[i] for i in range(n - 1)):
             count += 1
     return count
+
+
+def f_recurrence(c, memo=None):
+    """Path-function value from the defining recurrence, the reference route.
+
+    Walks an explicit stack instead of recursing, so the composition total
+    never threatens the interpreter stack, and stores every intermediate
+    composition in ``memo``, keyed as a :class:`MemoTable` keys it.
+    Exponential in the total; the tests compare :func:`f_value` and
+    :func:`f_walk` against it.
+    """
+    comp = check_composition(c)
+    if memo is None:
+        memo = MemoTable()
+    stack = [comp]
+    while stack:
+        cur = stack[-1]
+        key = engine._key(cur)
+        if key in memo:
+            stack.pop()
+            continue
+        if len(cur) == 1:
+            memo[key] = 1
+            stack.pop()
+            continue
+        children = derive_children(cur)
+        todo = [ch for ch in children if engine._key(ch) not in memo]
+        if todo:
+            stack.extend(todo)
+        else:
+            memo[key] = sum(memo[engine._key(ch)] for ch in children)
+            stack.pop()
+    return memo[engine._key(comp)]
 
 
 def boustrophedon_counts(limit):
@@ -324,8 +363,6 @@ def test_recurrence_without_a_memo_matches_the_dp():
 
 
 def test_stored_values_satisfy_the_recurrence():
-    from pathcensus.types import derive_children
-
     memo = MemoTable()
     f_recurrence((2, 3, 2), memo)
     assert len(memo) > 1

@@ -113,6 +113,13 @@ def test_make_random_is_deterministic():
     assert a != make_random(5, seed=1)
 
 
+@pytest.mark.parametrize("seed", [None, 1.5, True])
+def test_make_random_refuses_a_seed_that_is_not_an_int(seed):
+    # None would seed from the operating system, a new tournament per call
+    with pytest.raises(ValueError, match=f"^seed must be an int, got {seed!r}$"):
+        make_random(4, seed)
+
+
 def test_make_random_is_complete():
     for seed in range(5):
         t = make_random(6, seed)

@@ -35,7 +35,9 @@ def all_signed_types(max_total):
 
 
 # the paper's signed-tuple zero reduction, kept here as the reference that
-# pins derive_children; no counting route uses it
+# pins derive_children, the recurrence's step to a composition's children:
+# the property suite's `recurrence` family and the tests' f_recurrence
+# reference step with it, and no library code needs normalize itself
 
 def normalize(entries: Sequence[int]) -> tuple[int, ...]:
     """Reduce away zero entries.
